@@ -323,61 +323,6 @@ fn time_grid(
         .collect()
 }
 
-/// Newest committed bench record in the working directory: the
-/// `BENCH_<stamp>.json` with the largest numeric stamp. Non-numeric
-/// stamps (e.g. `BENCH_paper_full.json`) are curated snapshots, not
-/// trajectory points, and are skipped.
-fn newest_bench_record() -> Option<String> {
-    let mut best: Option<(u64, String)> = None;
-    for entry in std::fs::read_dir(".").ok()?.flatten() {
-        let name = entry.file_name();
-        let Some(name) = name.to_str() else { continue };
-        let Some(stamp) = name
-            .strip_prefix("BENCH_")
-            .and_then(|r| r.strip_suffix(".json"))
-            .and_then(|s| s.parse::<u64>().ok())
-        else {
-            continue;
-        };
-        if best.as_ref().is_none_or(|(b, _)| stamp > *b) {
-            best = Some((stamp, name.to_string()));
-        }
-    }
-    best.map(|(_, name)| name)
-}
-
-/// Default `--baseline-ns`: the fig10 `jobs = 1` wall time from the
-/// newest committed `BENCH_<stamp>.json`, provided that grid was
-/// measured at the same `servers x days` as this run (a --quick smoke
-/// must not "compare" itself against a full-scale record).
-fn auto_baseline(servers: u64, days: u64) -> Option<(String, u64)> {
-    let name = newest_bench_record()?;
-    let text = std::fs::read_to_string(&name).ok()?;
-    let grid = text.find("\"name\": \"fig10\"")?;
-    let rest = &text[grid..];
-    // Stop at the next grid header so fig8 numbers can't bleed in.
-    let end = rest[1..].find("\"name\": ").map_or(rest.len(), |i| i + 1);
-    let rest = &rest[..end];
-    if json_field_u64(rest, "\"servers\": ")? != servers
-        || json_field_u64(rest, "\"days\": ")? != days
-    {
-        return None;
-    }
-    // The first timing entry is always the jobs=1 pass.
-    json_field_u64(rest, "\"wall_ns\": ").map(|ns| (name, ns))
-}
-
-/// Reads the unsigned integer following `key` in a JSON fragment the
-/// bench writer itself produced (fixed `"key": value` formatting).
-fn json_field_u64(text: &str, key: &str) -> Option<u64> {
-    let i = text.find(key)? + key.len();
-    let digits = text[i..]
-        .split(|c: char| !c.is_ascii_digit())
-        .next()
-        .unwrap_or("");
-    digits.parse().ok()
-}
-
 /// `zombieland bench`: times the Fig. 10 and Fig. 8 grids end-to-end
 /// across the jobs scaling curve (`{1, 2, 4, --jobs}`) and writes a
 /// `BENCH_<stamp>.json` record pinning the perf trajectory, including
@@ -387,11 +332,8 @@ fn json_field_u64(text: &str, key: &str) -> Option<u64> {
 /// wall time, on exactly the code paths `experiment fig10`/`fig8` run.
 /// `--baseline-ns` (with an optional `--baseline-label`) embeds a prior
 /// measurement of the Fig. 10 `jobs = 1` pass so the JSON carries its own
-/// before/after comparison. Without the flag, the newest committed
-/// `BENCH_<stamp>.json` in the working directory whose fig10 grid ran at
-/// the same `servers x days` is auto-loaded as the baseline, so repeated
-/// `zombieland bench` runs compare against the last recorded trajectory
-/// by default.
+/// before/after comparison. There is no implicit baseline: a committed
+/// record may come from another host, where a speedup means nothing.
 fn cmd_bench(args: &[String]) -> ExitCode {
     let quick = args.iter().any(|a| a == "--quick");
     let paper = args.iter().any(|a| a == "--paper");
@@ -412,18 +354,8 @@ fn cmd_bench(args: &[String]) -> ExitCode {
         .and_then(|v| v.parse().ok())
         .unwrap_or(def_scale);
     let jobs = jobs_flag(args);
-    let mut baseline_ns: Option<u64> =
-        flag_value(args, "--baseline-ns").and_then(|v| v.parse().ok());
-    let mut baseline_label = flag_value(args, "--baseline-label");
-    if baseline_ns.is_none() && !paper {
-        if let Some((name, ns)) = auto_baseline(servers as u64, days) {
-            println!("baseline: {name} fig10 jobs=1 (auto-loaded; override with --baseline-ns)");
-            baseline_ns = Some(ns);
-            if baseline_label.is_none() {
-                baseline_label = Some(format!("auto {name} fig10 jobs=1"));
-            }
-        }
-    }
+    let baseline_ns: Option<u64> = flag_value(args, "--baseline-ns").and_then(|v| v.parse().ok());
+    let baseline_label = flag_value(args, "--baseline-label");
 
     let stamp = std::time::SystemTime::now()
         .duration_since(std::time::UNIX_EPOCH)

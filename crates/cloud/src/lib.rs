@@ -4,20 +4,14 @@
 //! OpenStack Neat does consolidation, and a modified migration protocol
 //! moves VMs whose memory is partly remote. This crate implements those
 //! policies — plus the Oasis baseline the evaluation compares against —
-//! in two forms:
-//!
-//! - **Pure policy logic** over abstract host/VM views
-//!   ([`placement`], [`consolidation`], [`oasis`], [`migration`]), which
-//!   the datacenter-scale simulator drives for Fig. 10;
-//! - **A live binding** ([`stack`]) that runs the same decisions against
-//!   a real [`zombieland_core::Rack`], used by the examples and
-//!   integration tests to exercise the whole stack end to end.
+//! as pure policy logic over abstract host/VM views ([`placement`],
+//! [`consolidation`], [`oasis`], [`migration`]), which the
+//! datacenter-scale simulator drives for Fig. 10.
 
 pub mod consolidation;
 pub mod migration;
 pub mod oasis;
 pub mod placement;
-pub mod stack;
 
 pub use consolidation::{ConsolidationMode, Neat};
 pub use placement::{HostPowerState, HostView, NovaScheduler, VmView};

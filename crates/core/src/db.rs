@@ -319,27 +319,6 @@ impl CtrlDb {
         Ok(())
     }
 
-    /// Reassigns buffers from one user to another — the migration
-    /// protocol's "update the ownership pointers for the remote memory
-    /// components" (§5.3). All-or-nothing.
-    pub fn reassign(
-        &mut self,
-        from: ServerId,
-        to: ServerId,
-        ids: &[BufferId],
-    ) -> Result<(), DbError> {
-        for id in ids {
-            let rec = self.record(*id)?;
-            if rec.user != Some(from) {
-                return Err(DbError::NotTheUser(*id, from));
-            }
-        }
-        for id in ids {
-            self.buffers.get_mut(id).expect("validated").user = Some(to);
-        }
-        Ok(())
-    }
-
     /// Plans a reclaim of `nb` of `host`'s buffers (`GS_reclaim`):
     /// unallocated buffers first, then allocated ones (which the caller
     /// must revoke from their users via `US_reclaim`). The reclaimed

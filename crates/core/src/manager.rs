@@ -313,7 +313,7 @@ impl RemoteMemManager {
     /// Handles a `US_reclaim(buff_IDs)` revoking several buffers at once.
     /// All victims leave the granted set *before* any page is re-placed,
     /// so pages never relocate into a sibling that is itself being
-    /// revoked.
+    /// revoked. An id listed twice is revoked once.
     pub fn revoke_many(&mut self, buffers: &[BufferId]) -> Result<Revocation, ManagerError> {
         let mut displaced = BTreeSet::new();
         let mut victims = Vec::with_capacity(buffers.len());
@@ -323,9 +323,10 @@ impl RemoteMemManager {
             }
         }
         for b in buffers {
-            let victim = self.granted.remove(b).expect("validated above");
-            displaced.extend(victim.pages.iter().copied());
-            victims.push(victim);
+            if let Some(victim) = self.granted.remove(b) {
+                displaced.extend(victim.pages.iter().copied());
+                victims.push(victim);
+            }
         }
         let pool = victims.first().map(|v| v.pool).unwrap_or(PoolKind::Ext);
         let mut outcome = Revocation::default();
@@ -410,6 +411,18 @@ mod tests {
         m.free_page(h).unwrap();
         assert_eq!(m.live_pages(), 0);
         assert_eq!(m.locate(h), Err(ManagerError::UnknownHandle(h)));
+    }
+
+    #[test]
+    fn revoke_many_tolerates_a_repeated_id() {
+        let mut m = RemoteMemManager::new(ServerId::new(0));
+        let recs = granted_records(2);
+        m.grant(recs[0], PoolKind::Ext);
+        m.grant(recs[1], PoolKind::Ext);
+        let (_, slot) = m.place_page(PoolKind::Ext).unwrap();
+        let rev = m.revoke_many(&[slot.buffer, slot.buffer]).unwrap();
+        assert_eq!(rev.relocated.len(), 1, "one page moves once");
+        assert_eq!(m.granted_buffers(PoolKind::Ext).len(), 1);
     }
 
     #[test]

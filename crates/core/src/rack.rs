@@ -7,6 +7,13 @@
 //! return the simulated time they took; the rack itself holds no clock
 //! (callers accumulate durations into their own timelines, and the
 //! heartbeat machinery takes explicit timestamps).
+//!
+//! Every wire op's controller-side step (register MRs and lend; allocate
+//! and grant; reclaim, revoke and deregister) lives in one private helper
+//! each. [`Rack::apply`] answers a decoded [`RackOp`] with exactly that
+//! step — the `zombied` daemon is a socket shell over it — while the
+//! host-side entry points (`goto_zombie`, `alloc_ext`, `wake`, ...) wrap
+//! the same helpers in RPC timing, harvesting and power transitions.
 
 use core::fmt;
 
@@ -17,9 +24,10 @@ use zombieland_rdma::{
 };
 use zombieland_simcore::{Bytes, SimDuration, SimTime, PAGE_SIZE};
 
-use crate::db::{BufferRecord, DbError};
+use crate::codec::{BufferDesc, ErrorFrame, RackResponse, ResponseBody};
+use crate::db::{BufferKind, BufferRecord, DbError, ReclaimPlan};
 use crate::ha::HaPair;
-use crate::manager::{ManagerError, PageHandle, PageLoc, PoolKind, RemoteMemManager};
+use crate::manager::{ManagerError, PageHandle, PageLoc, PoolKind, RemoteMemManager, Revocation};
 use crate::protocol::RackOp;
 use crate::server::ServerId;
 
@@ -149,6 +157,35 @@ impl From<PlatformError> for RackError {
     }
 }
 
+impl From<RackError> for ErrorFrame {
+    fn from(e: RackError) -> Self {
+        match e {
+            RackError::UnknownServer(h) | RackError::Db(DbError::UnknownHost(h)) => {
+                ErrorFrame::UnknownHost(h)
+            }
+            RackError::Db(DbError::UnknownBuffer(b))
+            | RackError::Manager(ManagerError::UnknownBuffer(b)) => ErrorFrame::UnknownBuffer(b),
+            RackError::Db(DbError::AdmissionDenied {
+                requested,
+                available,
+            }) => ErrorFrame::AdmissionDenied {
+                requested,
+                available,
+            },
+            RackError::Db(DbError::NotTheUser(buffer, user)) => {
+                ErrorFrame::NotTheUser { buffer, user }
+            }
+            // Handle-level, fabric and platform errors cannot arise from
+            // a wire request; classify them as capacity trouble rather
+            // than invent a wire variant.
+            RackError::Manager(_)
+            | RackError::Fabric(_)
+            | RackError::Platform(_)
+            | RackError::WrongState { .. } => ErrorFrame::NoCapacity,
+        }
+    }
+}
+
 /// Outcome of `goto_zombie`.
 #[derive(Debug, Clone)]
 pub struct ZombieOutcome {
@@ -211,6 +248,10 @@ pub struct AllocOutcome {
     pub control: SimDuration,
 }
 
+/// Per user: the buffer ids revoked from its agent, and what the agent
+/// did with the pages they held.
+type UserRevocations = Vec<(ServerId, Vec<BufferId>, Revocation)>;
+
 struct ServerEntry {
     id: ServerId,
     node: NodeId,
@@ -247,7 +288,6 @@ pub struct Rack {
     fabric: Fabric,
     ha: HaPair,
     primary_node: NodeId,
-    secondary_node: NodeId,
     servers: Vec<ServerEntry>,
     managers: Vec<RemoteMemManager>,
     to_primary: Vec<RpcLink>,
@@ -302,7 +342,6 @@ impl Rack {
             fabric,
             ha,
             primary_node,
-            secondary_node,
             servers,
             managers,
             to_primary,
@@ -360,6 +399,17 @@ impl Rack {
         &self.managers[s.get() as usize]
     }
 
+    /// A server's fabric node.
+    pub fn node(&self, s: ServerId) -> Result<NodeId, RackError> {
+        Ok(self.entry(s)?.node)
+    }
+
+    /// The buffers a server currently lends, with the MR registered for
+    /// each.
+    pub fn lent(&self, s: ServerId) -> Result<&[(BufferId, MrKey)], RackError> {
+        Ok(&self.entry(s)?.lent)
+    }
+
     /// The controller database (read access).
     pub fn db(&self) -> &crate::db::CtrlDb {
         self.ha.db()
@@ -376,16 +426,6 @@ impl Rack {
     /// default path's timing is bit-for-bit what the fabric charges.
     fn backend(&self) -> &'static dyn crate::backend::FabricBackend {
         self.config.backend.backend
-    }
-
-    /// The fabric nodes hosting the primary and secondary controllers.
-    pub fn controller_nodes(&self) -> (NodeId, NodeId) {
-        (self.primary_node, self.secondary_node)
-    }
-
-    /// Total control-plane time accumulated so far.
-    pub fn control_time(&self) -> SimDuration {
-        self.control_time
     }
 
     /// A server's ACPI state.
@@ -459,22 +499,15 @@ impl Rack {
             return Err(RackError::WrongState { server: s, state });
         }
         let nb = buffers_within(self.lendable(s)?);
-        // Register one MR per buffer while the CPU is still up.
-        let node = self.entry(s)?.node;
-        let mut mrs = Vec::with_capacity(nb as usize);
-        for _ in 0..nb {
-            mrs.push(self.fabric.register(node, BUFF_SIZE)?);
-        }
         let op = RackOp::GotoZombie {
             host: s,
             buffers: nb,
         };
         let control = self.rpc_to_ctrl(s, &op)?;
-        let ids = self.ha.apply(|db| db.lend(s, &mrs, true))?;
+        // The MRs are registered while the CPU is still up.
+        let ids = self.ctrl_lend(s, nb, true)?;
         let entry = self.entry_mut(s)?;
-        entry
-            .lent
-            .extend(ids.iter().copied().zip(mrs.iter().copied()));
+        let node = entry.node;
         let suspend = entry.platform.suspend("zom")?;
         self.fabric.set_availability(node, Availability::MemoryOnly);
         Ok(ZombieOutcome {
@@ -491,18 +524,7 @@ impl Rack {
         if state != SleepState::S0 {
             return Err(RackError::WrongState { server: s, state });
         }
-        let nb = nb.min(buffers_within(self.lendable(s)?));
-        let node = self.entry(s)?.node;
-        let mut mrs = Vec::with_capacity(nb as usize);
-        for _ in 0..nb {
-            mrs.push(self.fabric.register(node, BUFF_SIZE)?);
-        }
-        let ids = self.ha.apply(|db| db.lend(s, &mrs, false))?;
-        let entry = self.entry_mut(s)?;
-        entry
-            .lent
-            .extend(ids.iter().copied().zip(mrs.iter().copied()));
-        Ok(ids)
+        self.ctrl_lend(s, nb, false)
     }
 
     /// Wakes a zombie server and reclaims `reclaim_buffers` of its lent
@@ -548,7 +570,8 @@ impl Rack {
         Ok(out)
     }
 
-    /// The shared GS_reclaim machinery: plan, revoke, relocate, deregister.
+    /// The host side of GS_reclaim: the RPCs, and the users re-placing
+    /// revoked pages from their local backups, around [`Rack::ctrl_reclaim`].
     fn reclaim_into(
         &mut self,
         s: ServerId,
@@ -558,88 +581,126 @@ impl Rack {
         // GS_reclaim: the manager asks for its memory back.
         let lent_count = self.entry(s)?.lent.len() as u64;
         let nb = reclaim_buffers.unwrap_or(lent_count).min(lent_count);
-        if nb > 0 {
-            let op = RackOp::Reclaim {
-                host: s,
-                nb_buffers: nb,
-            };
-            out.control += self.rpc_to_ctrl(s, &op)?;
-            // The controller plans: free buffers first, then revocations.
-            let plan = self.ha.apply(|db| db.reclaim(s, nb))?;
-            out.reclaimed_free = plan.returned_free.len() as u64;
-            out.revoked = plan.revoked.len() as u64;
-
-            // 3. US_reclaim the allocated buffers from their users (one
-            //    call per user, carrying the whole id list as the paper's
-            //    `US_reclaim(buff_IDs)` does); each user re-places data
-            //    from its local backup.
-            let mut by_user: std::collections::BTreeMap<ServerId, Vec<BufferId>> =
-                std::collections::BTreeMap::new();
-            for (user, buffer) in &plan.revoked {
-                by_user.entry(*user).or_default().push(*buffer);
-            }
-            for (user, buffers) in &by_user {
-                let op = RackOp::UsReclaim {
-                    user: *user,
-                    buff_ids: buffers.clone(),
-                };
-                out.control += self.rpc_from_ctrl(*user, &op)?;
-                let revocation = self.managers[user.get() as usize].revoke_many(buffers)?;
-                let user_node = self.entry(*user)?.node;
-                for (handle, new_slot) in &revocation.relocated {
-                    let mgr = &self.managers[user.get() as usize];
-                    let mr = mgr.buffer_record(new_slot.buffer)?.mr;
-                    // Restore from the local backup: real bytes when the
-                    // page went through the data path, timing otherwise.
-                    let backed = mgr.backup_bytes(*handle).map(<[u8]>::to_vec);
-                    let write = match backed {
-                        Some(bytes) => {
-                            self.fabric
-                                .write(user_node, mr, new_slot.offset(), &bytes)?
-                        }
-                        None => self.fabric.write_timed(
-                            user_node,
-                            mr,
-                            new_slot.offset(),
-                            Bytes::new(PAGE_SIZE),
-                        )?,
-                    };
-                    let write = self.backend().write_time(write, Bytes::new(PAGE_SIZE));
-                    out.relocation_time += self.config.backup_read_4k + write;
-                }
-                out.relocated_pages += revocation.relocated.len() as u64;
-                out.fallback_pages += revocation.fell_back.len() as u64;
-            }
-
-            // 4. Destroy the communication channels: deregister the MRs of
-            //    every reclaimed buffer and return the memory to the host.
-            let reclaimed: Vec<BufferId> = plan.all_buffers().collect();
-            let entry = self.entry_mut(s)?;
-            let mut kept = Vec::new();
-            let mut dropped_mrs = Vec::new();
-            for (id, mr) in entry.lent.drain(..) {
-                if reclaimed.contains(&id) {
-                    dropped_mrs.push(mr);
-                } else {
-                    kept.push((id, mr));
-                }
-            }
-            entry.lent = kept;
-            for mr in dropped_mrs {
-                self.fabric.deregister(mr)?;
-            }
+        if nb == 0 {
+            return Ok(());
         }
+        let op = RackOp::Reclaim {
+            host: s,
+            nb_buffers: nb,
+        };
+        out.control += self.rpc_to_ctrl(s, &op)?;
+        let (plan, revocations) = self.ctrl_reclaim(s, nb)?;
+        out.reclaimed_free = plan.returned_free.len() as u64;
+        out.revoked = plan.revoked.len() as u64;
 
+        // One US_reclaim call per user, carrying the whole id list as the
+        // paper's `US_reclaim(buff_IDs)` does; each user re-places data
+        // from its local backup.
+        for (user, buff_ids, revocation) in revocations {
+            out.control += self.rpc_from_ctrl(user, &RackOp::UsReclaim { user, buff_ids })?;
+            let user_node = self.entry(user)?.node;
+            for (handle, new_slot) in &revocation.relocated {
+                let mgr = &self.managers[user.get() as usize];
+                let mr = mgr.buffer_record(new_slot.buffer)?.mr;
+                // Restore from the local backup: real bytes when the
+                // page went through the data path, timing otherwise.
+                let backed = mgr.backup_bytes(*handle).map(<[u8]>::to_vec);
+                let write = match backed {
+                    Some(bytes) => self
+                        .fabric
+                        .write(user_node, mr, new_slot.offset(), &bytes)?,
+                    None => self.fabric.write_timed(
+                        user_node,
+                        mr,
+                        new_slot.offset(),
+                        Bytes::new(PAGE_SIZE),
+                    )?,
+                };
+                let write = self.backend().write_time(write, Bytes::new(PAGE_SIZE));
+                out.relocation_time += self.config.backup_read_4k + write;
+            }
+            out.relocated_pages += revocation.relocated.len() as u64;
+            out.fallback_pages += revocation.fell_back.len() as u64;
+        }
         Ok(())
     }
 
-    fn try_allocate(
+    /// The controller step of lending: registers one MR per buffer (at
+    /// most `max`, bounded by what `s` can still lend) and records them
+    /// in the controller database.
+    fn ctrl_lend(
+        &mut self,
+        s: ServerId,
+        max: u64,
+        zombie: bool,
+    ) -> Result<Vec<BufferId>, RackError> {
+        let nb = max.min(buffers_within(self.lendable(s)?));
+        let node = self.entry(s)?.node;
+        let mut mrs = Vec::with_capacity(nb as usize);
+        for _ in 0..nb {
+            mrs.push(self.fabric.register(node, BUFF_SIZE)?);
+        }
+        let ids = self.ha.apply(|db| db.lend(s, &mrs, zombie))?;
+        self.entry_mut(s)?.lent.extend(ids.iter().copied().zip(mrs));
+        Ok(ids)
+    }
+
+    /// The controller step of an allocation: the database picks `nb`
+    /// buffers (zombie memory first) and the user's agent is granted them.
+    fn ctrl_allocate(
         &mut self,
         user: ServerId,
         nb: u64,
         guaranteed: bool,
     ) -> Result<Vec<BufferRecord>, RackError> {
-        Ok(self.ha.apply(|db| db.allocate(user, nb, guaranteed))?)
+        let i = self.server_index(user)?;
+        let records = self.ha.apply(|db| db.allocate(user, nb, guaranteed))?;
+        let pool = if guaranteed {
+            PoolKind::Ext
+        } else {
+            PoolKind::Swap
+        };
+        for r in &records {
+            self.managers[i].grant(*r, pool);
+        }
+        Ok(records)
+    }
+
+    /// The controller step of GS_reclaim: the database plans (free
+    /// buffers first, then revocations), the users' agents revoke the
+    /// allocated ones (one id list per user), and the MRs of every
+    /// reclaimed buffer are deregistered, returning the memory to the
+    /// host. Returns the plan and each user's revoked ids and revocation.
+    fn ctrl_reclaim(
+        &mut self,
+        s: ServerId,
+        nb: u64,
+    ) -> Result<(ReclaimPlan, UserRevocations), RackError> {
+        let i = self.server_index(s)?;
+        let plan = self.ha.apply(|db| db.reclaim(s, nb))?;
+        let mut by_user: std::collections::BTreeMap<ServerId, Vec<BufferId>> =
+            std::collections::BTreeMap::new();
+        for &(user, buffer) in &plan.revoked {
+            by_user.entry(user).or_default().push(buffer);
+        }
+        let mut revocations = Vec::with_capacity(by_user.len());
+        for (user, buffers) in by_user {
+            let revocation = self.managers[user.get() as usize].revoke_many(&buffers)?;
+            revocations.push((user, buffers, revocation));
+        }
+        let reclaimed: Vec<BufferId> = plan.all_buffers().collect();
+        let mut dropped_mrs = Vec::with_capacity(reclaimed.len());
+        self.servers[i].lent.retain(|&(id, mr)| {
+            let keep = !reclaimed.contains(&id);
+            if !keep {
+                dropped_mrs.push(mr);
+            }
+            keep
+        });
+        for mr in dropped_mrs {
+            self.fabric.deregister(mr)?;
+        }
+        Ok((plan, revocations))
     }
 
     /// Harvests residual memory from active servers until `shortfall`
@@ -679,19 +740,15 @@ impl Rack {
             mem_size: size,
         };
         let mut control = self.rpc_to_ctrl(user, &op)?;
-        let records = match self.try_allocate(user, nb, true) {
+        let records = match self.ctrl_allocate(user, nb, true) {
             Ok(r) => r,
             Err(RackError::Db(DbError::AdmissionDenied { available, .. })) => {
                 control += self.harvest(user, nb - available)?;
-                self.try_allocate(user, nb, true)?
+                self.ctrl_allocate(user, nb, true)?
             }
             Err(e) => return Err(e),
         };
-        let mgr = &mut self.managers[user.get() as usize];
         let buffers = records.iter().map(|r| r.id).collect();
-        for r in records {
-            mgr.grant(r, PoolKind::Ext);
-        }
         Ok(AllocOutcome { buffers, control })
     }
 
@@ -708,44 +765,9 @@ impl Rack {
         if free < nb {
             control += self.harvest(user, nb - free)?;
         }
-        let records = self.try_allocate(user, nb, false)?;
-        let mgr = &mut self.managers[user.get() as usize];
+        let records = self.ctrl_allocate(user, nb, false)?;
         let buffers = records.iter().map(|r| r.id).collect();
-        for r in records {
-            mgr.grant(r, PoolKind::Swap);
-        }
         Ok(AllocOutcome { buffers, control })
-    }
-
-    /// Transfers ownership of (empty) granted buffers from one user to
-    /// another — the migration protocol's ownership-pointer update
-    /// (§5.3). The remote data needs no copy; only the controller row and
-    /// the two managers' grant tables change.
-    pub fn transfer_buffers(
-        &mut self,
-        from: ServerId,
-        to: ServerId,
-        buffers: &[BufferId],
-    ) -> Result<(), RackError> {
-        let from_i = self.server_index(from)?;
-        let to_i = self.server_index(to)?;
-        let mut records = Vec::with_capacity(buffers.len());
-        for b in buffers {
-            records.push(self.managers[from_i].buffer_record(*b)?);
-        }
-        // Ungrant refuses buffers with live pages, keeping the transfer
-        // safe; then flip the controller row and re-grant on the target.
-        for b in buffers {
-            self.managers[from_i].ungrant(*b)?;
-        }
-        self.ha.apply(|db| db.reassign(from, to, buffers))?;
-        for mut rec in records {
-            rec.user = Some(to);
-            // Transfers happen at the stack layer where buffers back VM
-            // RAM extensions.
-            self.managers[to_i].grant(rec, PoolKind::Ext);
-        }
-        Ok(())
     }
 
     /// Releases empty granted buffers back to the pool.
@@ -1021,6 +1043,62 @@ impl Rack {
         Ok(self.ha.db().get_lru_zombie())
     }
 
+    /// Answers one wire op with its controller-side step, as the
+    /// controller sees it arrive off a socket: the socket is the RPC, so
+    /// no RPC time is charged, and no power transition, state check or
+    /// harvest happens (`AllocExt` against a short pool is
+    /// `AdmissionDenied`). The response's `decision` is the op's modeled
+    /// [`RackOp::server_time`]; errors come back as typed error frames.
+    pub fn apply(&mut self, op: &RackOp) -> RackResponse {
+        let body = self
+            .apply_step(op)
+            .unwrap_or_else(|e| ResponseBody::Error(e.into()));
+        RackResponse {
+            decision: op.server_time(),
+            body,
+        }
+    }
+
+    fn apply_step(&mut self, op: &RackOp) -> Result<ResponseBody, RackError> {
+        let granted = |records: Vec<BufferRecord>| ResponseBody::Granted {
+            buffers: records.iter().map(desc_of).collect(),
+        };
+        Ok(match op {
+            RackOp::GotoZombie { host, buffers } => ResponseBody::Lent {
+                buffers: self.ctrl_lend(*host, *buffers, true)?,
+            },
+            RackOp::AsGetFreeMem { host } => ResponseBody::Lent {
+                buffers: self.ctrl_lend(*host, u64::MAX, false)?,
+            },
+            RackOp::Reclaim { host, nb_buffers } => {
+                let (plan, _) = self.ctrl_reclaim(*host, *nb_buffers)?;
+                ResponseBody::Reclaimed {
+                    returned_free: plan.returned_free,
+                    revoked: plan.revoked,
+                }
+            }
+            RackOp::UsReclaim { user, buff_ids } => {
+                let i = self.server_index(*user)?;
+                let revocation = self.managers[i].revoke_many(buff_ids)?;
+                // The controller's database drops the user's claim.
+                self.ha.apply(|db| db.release(*user, buff_ids))?;
+                ResponseBody::Revoked {
+                    relocated: revocation.relocated.len() as u64,
+                    fell_back: revocation.fell_back.len() as u64,
+                }
+            }
+            RackOp::AllocExt { user, mem_size } => {
+                granted(self.ctrl_allocate(*user, buffers_for(*mem_size), true)?)
+            }
+            RackOp::AllocSwap { user, mem_size } => {
+                granted(self.ctrl_allocate(*user, buffers_for(*mem_size), false)?)
+            }
+            RackOp::GetLruZombie => ResponseBody::LruZombie {
+                host: self.ha.db().get_lru_zombie(),
+            },
+        })
+    }
+
     /// A point-in-time summary of the rack (observability / dashboards).
     pub fn stats(&self) -> RackStats {
         let db = self.ha.db();
@@ -1071,6 +1149,21 @@ impl Rack {
     /// Whether the primary controller still leads.
     pub fn primary_alive(&self) -> bool {
         self.ha.primary_alive()
+    }
+
+    /// Controller failovers so far.
+    pub fn failovers(&self) -> u32 {
+        self.ha.failovers()
+    }
+}
+
+fn desc_of(r: &BufferRecord) -> BufferDesc {
+    BufferDesc {
+        id: r.id,
+        host: r.host,
+        mr_key: r.mr.get(),
+        size: r.size,
+        zombie: r.kind == BufferKind::Zombie,
     }
 }
 
@@ -1331,8 +1424,6 @@ mod tests {
         assert!(unknown(rack.alloc_swap(bogus, Bytes::gib(1)).map(|_| ())));
         assert!(unknown(rack.place_page(bogus, PoolKind::Ext).map(|_| ())));
         assert!(unknown(rack.release(bogus, &alloc.buffers)));
-        assert!(unknown(rack.transfer_buffers(bogus, user, &alloc.buffers)));
-        assert!(unknown(rack.transfer_buffers(user, bogus, &alloc.buffers)));
         let (handle, _) = rack.place_page(user, PoolKind::Ext).unwrap();
         assert!(unknown(rack.free_page(bogus, handle).map(|_| ())));
         // And the rack still works afterwards: nothing was corrupted.

@@ -6,10 +6,10 @@
 //! mirror — but nothing listened. This crate is the serving layer:
 //!
 //! - [`framing`] — length-prefixed frames over any byte stream.
-//! - [`model`] — [`model::ClusterModel`], the daemon's world: a rack of
-//!   servers on a simulated RDMA fabric, the HA controller pair, and the
-//!   per-user remote-memory-manager agents. Booted deterministically
-//!   from a seed via a short simulator run.
+//! - [`model`] — [`model::ClusterModel`], the daemon's world: a
+//!   [`zombieland_core::Rack`] whose `apply` answers every request,
+//!   booted deterministically from a seed via a short simulator run,
+//!   plus the sim clock that drives controller heartbeats.
 //! - [`server`] — [`server::Daemon`], a thread-per-connection server
 //!   over TCP or (on Unix) a Unix-domain socket.
 //! - [`client`] — [`client::ZlClient`], the thin client library behind

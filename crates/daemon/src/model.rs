@@ -1,31 +1,28 @@
 //! The daemon's cluster model: what `zombied` answers requests *about*.
 //!
-//! A [`ClusterModel`] is a rack of `servers` hosts on a simulated RDMA
-//! fabric, fronted by the HA controller pair ([`HaPair`]) and one
-//! remote-memory-manager agent per user. It is booted deterministically
-//! from a seed: a short [`zombieland_simulator`] run under the
-//! ZombieStack policy decides how many hosts start as zombies (so the
-//! daemon comes up with a realistic lending pool instead of an empty
-//! database), and every MR registration / buffer id flows through the
-//! same code paths the in-process experiments use.
+//! A [`ClusterModel`] is a [`Rack`] of `servers` hosts — the simulated
+//! RDMA fabric, the HA controller pair and one remote-memory-manager
+//! agent per server — and every request is answered by [`Rack::apply`],
+//! the same controller step the in-process experiments drive. The model
+//! adds only what a daemon needs around it:
 //!
-//! Every applied operation advances the model's sim-clock by the op's
-//! [`RackOp::server_time`], heartbeats the primary controller, and runs
-//! the secondary's monitor — so a crashed primary (`--fail-primary-after`)
-//! is detected and failed over *between* requests, mid-stream, exactly
-//! the transparent-HA story §4.1–4.2 tells.
+//! - a deterministic boot: a short [`zombieland_simulator`] run under the
+//!   ZombieStack policy decides how many hosts start as zombies, so the
+//!   daemon comes up with a realistic lending pool instead of an empty
+//!   database;
+//! - a sim-clock: every applied operation advances it by the op's
+//!   [`RackOp::server_time`], heartbeats the primary controller, and runs
+//!   the secondary's monitor — so a crashed primary
+//!   (`--fail-primary-after`) is detected and failed over *between*
+//!   requests, mid-stream, exactly the transparent-HA story §4.1–4.2
+//!   tells;
+//! - the STATS overlay ([`ClusterModel::observe_into`]).
 
-use std::collections::BTreeMap;
-
-use zombieland_core::codec::{BufferDesc, ErrorFrame, RackResponse, ResponseBody};
-use zombieland_core::db::{BufferKind, BufferRecord, DbError};
-use zombieland_core::ha::HaPair;
-use zombieland_core::manager::{ManagerError, PoolKind, RemoteMemManager};
+use zombieland_core::codec::RackResponse;
 use zombieland_core::protocol::RackOp;
-use zombieland_core::ServerId;
+use zombieland_core::{Rack, RackConfig, ServerId};
 use zombieland_energy::MachineProfile;
-use zombieland_mem::buffer::{buffers_for, buffers_within, BufferId, BUFF_SIZE};
-use zombieland_rdma::{Fabric, MrKey, NodeId};
+use zombieland_mem::buffer::BUFF_SIZE;
 use zombieland_simcore::{Bytes, SimDuration, SimTime};
 use zombieland_simulator::{simulate, PolicyKind, SimConfig};
 use zombieland_trace::{ClusterTrace, TraceConfig};
@@ -63,28 +60,18 @@ const HEARTBEAT_TIMEOUT: SimDuration = SimDuration::from_micros(100);
 
 /// The daemon's world.
 pub struct ClusterModel {
-    fabric: Fabric,
-    nodes: Vec<NodeId>,
-    ha: HaPair,
-    managers: BTreeMap<ServerId, RemoteMemManager>,
-    /// Per-host memory not yet lent into the pool.
-    unlent: Vec<Bytes>,
+    rack: Rack,
     clock: SimTime,
     ops_applied: u64,
     heartbeats: u64,
     fail_primary_after: Option<u64>,
     primary_crashed: bool,
     initial_zombies: u64,
-    /// Remote-memory backend the boot simulation priced the rack under
-    /// (the installed scenario's `backend` key; surfaced in STATS).
-    backend: &'static zombieland_core::backend::BackendSpec,
-    /// Bytes currently lent into the pooled tier across all hosts.
-    lent_bytes: Bytes,
 }
 
 impl ClusterModel {
     /// Boots a model: runs a short deterministic simulation to pick the
-    /// initial zombie population, then registers hosts and lends the
+    /// initial zombie population, then builds the rack and lends the
     /// zombies' memory into the pool.
     pub fn boot(cfg: ModelConfig) -> ClusterModel {
         let trace = ClusterTrace::generate(TraceConfig {
@@ -98,7 +85,6 @@ impl ClusterModel {
             sample_interval: Some(SimDuration::from_hours(1)),
             ..SimConfig::new(PolicyKind::ZombieStack, MachineProfile::hp())
         };
-        let backend = sim_cfg.backend;
         let report = simulate(&trace, &sim_cfg);
         let zombies = report
             .timeline
@@ -107,35 +93,36 @@ impl ClusterModel {
             .unwrap_or(0)
             .clamp(1, cfg.servers as u64 - 1);
 
-        let mut fabric = Fabric::new();
-        let nodes: Vec<NodeId> = (0..cfg.servers).map(|_| fabric.attach()).collect();
-        let mut ha = HaPair::new(SimTime::ZERO, HEARTBEAT_TIMEOUT);
-        for i in 0..cfg.servers {
-            ha.apply(|db| db.register_host(ServerId::new(i)));
+        // Each host can lend exactly `lendable`: its RAM is that plus
+        // the system reserve. The rack prices the backend the boot
+        // simulation ran under (the installed scenario's `backend` key).
+        let defaults = RackConfig::default();
+        let mut rack = Rack::new(RackConfig {
+            servers: cfg.servers,
+            ram_per_server: cfg.lendable + defaults.system_reserved,
+            heartbeat_timeout: HEARTBEAT_TIMEOUT,
+            backend: sim_cfg.backend,
+            ..defaults
+        });
+        // Seed the pool: the simulated zombie count, spread evenly over
+        // the rack, each lending everything it has.
+        let stride = (cfg.servers as u64 / zombies).max(1);
+        for z in 0..zombies {
+            let host = ServerId::new(((z * stride) % cfg.servers as u64) as u32);
+            rack.apply(&RackOp::GotoZombie {
+                host,
+                buffers: u64::MAX,
+            });
         }
-        let mut model = ClusterModel {
-            fabric,
-            nodes,
-            ha,
-            managers: BTreeMap::new(),
-            unlent: vec![cfg.lendable; cfg.servers as usize],
+        ClusterModel {
+            rack,
             clock: SimTime::ZERO,
             ops_applied: 0,
             heartbeats: 0,
             fail_primary_after: cfg.fail_primary_after,
             primary_crashed: false,
             initial_zombies: zombies,
-            backend,
-            lent_bytes: Bytes::ZERO,
-        };
-        // Seed the pool: the simulated zombie count, spread evenly over
-        // the rack, each lending everything it has.
-        let stride = (cfg.servers as u64 / zombies).max(1);
-        for z in 0..zombies {
-            let host = ServerId::new(((z * stride) % cfg.servers as u64) as u32);
-            let _ = model.lend_host(host, u64::MAX, true);
         }
-        model
     }
 
     /// Hosts that booted as zombies (decided by the boot simulation).
@@ -145,17 +132,12 @@ impl ClusterModel {
 
     /// Free buffers currently in the controller database.
     pub fn free_buffers(&self) -> u64 {
-        self.ha.db().free_buffers()
-    }
-
-    /// Operations applied so far.
-    pub fn ops_applied(&self) -> u64 {
-        self.ops_applied
+        self.rack.db().free_buffers()
     }
 
     /// Controller failovers so far.
     pub fn failovers(&self) -> u32 {
-        self.ha.failovers()
+        self.rack.failovers()
     }
 
     /// Writes the model's current state into a scrape registry: lifetime
@@ -165,87 +147,26 @@ impl ClusterModel {
     /// per-connection telemetry shards never see these names, so gauges
     /// reflect *now* rather than an average of past scrapes.
     pub fn observe_into(&self, reg: &mut zombieland_obs::MetricRegistry) {
+        let db = self.rack.db();
         reg.counter_add("zombied.ops_applied", self.ops_applied);
         reg.counter_add("zombied.ha.heartbeats", self.heartbeats);
-        reg.counter_add("zombied.ha.failovers", self.ha.failovers() as u64);
+        reg.counter_add("zombied.ha.failovers", self.rack.failovers() as u64);
         reg.gauge_set(
             "zombied.ha.primary_alive",
-            u64::from(self.ha.primary_alive()),
+            u64::from(self.rack.primary_alive()),
         );
-        reg.gauge_set("zombied.pool.free_buffers", self.ha.db().free_buffers());
-        reg.gauge_set("zombied.pool.zombies", self.ha.db().zombie_count());
-        reg.gauge_set("zombied.pool.lent_bytes", self.lent_bytes.get());
+        reg.gauge_set("zombied.pool.free_buffers", db.free_buffers());
+        reg.gauge_set("zombied.pool.zombies", db.zombie_count());
+        reg.gauge_set(
+            "zombied.pool.lent_bytes",
+            (BUFF_SIZE * self.rack.stats().lent_buffers).get(),
+        );
         // One flag gauge per registered backend (the registry is static,
         // and `gauge_set` needs `&'static str` names): exactly one is 1.
-        reg.gauge_set(
-            "zombied.backend.rdma",
-            u64::from(self.backend.key == "rdma"),
-        );
-        reg.gauge_set("zombied.backend.cxl", u64::from(self.backend.key == "cxl"));
-        reg.gauge_set("zombied.managers", self.managers.len() as u64);
+        let backend = self.rack.config().backend.key;
+        reg.gauge_set("zombied.backend.rdma", u64::from(backend == "rdma"));
+        reg.gauge_set("zombied.backend.cxl", u64::from(backend == "cxl"));
         reg.gauge_set("zombied.clock_ns", self.clock.as_nanos());
-    }
-
-    /// Registers `n ≤ max_buffers` MRs on `host` (bounded by its unlent
-    /// memory) and lends them into the pool.
-    fn lend_host(
-        &mut self,
-        host: ServerId,
-        max_buffers: u64,
-        zombie: bool,
-    ) -> Result<Vec<BufferId>, ErrorFrame> {
-        let idx = host.get() as usize;
-        if idx >= self.nodes.len() {
-            return Err(ErrorFrame::UnknownHost(host));
-        }
-        let n = max_buffers.min(buffers_within(self.unlent[idx]));
-        let node = self.nodes[idx];
-        let mrs: Vec<MrKey> = (0..n)
-            .map(|_| {
-                self.fabric
-                    .register(node, BUFF_SIZE)
-                    .expect("node attached at boot")
-            })
-            .collect();
-        let ids = self
-            .ha
-            .apply(|db| db.lend(host, &mrs, zombie))
-            .map_err(db_error_frame)?;
-        self.unlent[idx] -= BUFF_SIZE * n;
-        self.lent_bytes += BUFF_SIZE * n;
-        Ok(ids)
-    }
-
-    /// Allocates `mem_size` for `user` and grants the buffers to the
-    /// user's manager agent.
-    fn alloc(
-        &mut self,
-        user: ServerId,
-        mem_size: Bytes,
-        guaranteed: bool,
-    ) -> Result<Vec<BufferDesc>, ErrorFrame> {
-        let nb = buffers_for(mem_size);
-        let records = self
-            .ha
-            .apply(|db| db.allocate(user, nb, guaranteed))
-            .map_err(db_error_frame)?;
-        let pool = if guaranteed {
-            PoolKind::Ext
-        } else {
-            PoolKind::Swap
-        };
-        let manager = self
-            .managers
-            .entry(user)
-            .or_insert_with(|| RemoteMemManager::new(user));
-        let descs = records
-            .iter()
-            .map(|r| {
-                manager.grant(*r, pool);
-                desc_of(r)
-            })
-            .collect();
-        Ok(descs)
     }
 
     /// Applies one control-plane operation, advancing the model clock and
@@ -253,124 +174,24 @@ impl ClusterModel {
     pub fn apply(&mut self, op: &RackOp) -> RackResponse {
         self.ops_applied += 1;
         if self.fail_primary_after == Some(self.ops_applied) {
-            self.ha.kill_primary();
+            self.rack.crash_primary();
             self.primary_crashed = true;
         }
-        let decision = op.server_time();
-        self.clock += decision;
+        self.clock += op.server_time();
         if !self.primary_crashed {
-            self.ha.heartbeat(self.clock);
+            self.rack.heartbeat(self.clock);
             self.heartbeats += 1;
         }
-        self.ha.check(self.clock);
-
-        let body = match self.dispatch(op) {
-            Ok(body) => body,
-            Err(e) => ResponseBody::Error(e),
-        };
-        RackResponse { decision, body }
-    }
-
-    fn dispatch(&mut self, op: &RackOp) -> Result<ResponseBody, ErrorFrame> {
-        match op {
-            RackOp::GotoZombie { host, buffers } => {
-                let ids = self.lend_host(*host, *buffers, true)?;
-                Ok(ResponseBody::Lent { buffers: ids })
-            }
-            RackOp::AsGetFreeMem { host } => {
-                let ids = self.lend_host(*host, u64::MAX, false)?;
-                Ok(ResponseBody::Lent { buffers: ids })
-            }
-            RackOp::Reclaim { host, nb_buffers } => {
-                let idx = host.get() as usize;
-                if idx >= self.nodes.len() {
-                    return Err(ErrorFrame::UnknownHost(*host));
-                }
-                let plan = self
-                    .ha
-                    .apply(|db| db.reclaim(*host, *nb_buffers))
-                    .map_err(db_error_frame)?;
-                // Revoke allocated buffers from their users' agents (the
-                // US_reclaim leg of the reclaim protocol).
-                for &(user, buffer) in &plan.revoked {
-                    if let Some(m) = self.managers.get_mut(&user) {
-                        let _ = m.revoke_many(&[buffer]);
-                    }
-                }
-                let reclaimed = plan.returned_free.len() + plan.revoked.len();
-                self.unlent[idx] += BUFF_SIZE * reclaimed as u64;
-                self.lent_bytes -= BUFF_SIZE * reclaimed as u64;
-                Ok(ResponseBody::Reclaimed {
-                    returned_free: plan.returned_free,
-                    revoked: plan.revoked,
-                })
-            }
-            RackOp::UsReclaim { user, buff_ids } => {
-                let manager = self
-                    .managers
-                    .get_mut(user)
-                    .ok_or(ErrorFrame::UnknownHost(*user))?;
-                let rev = manager.revoke_many(buff_ids).map_err(manager_error_frame)?;
-                // The controller's database drops the user's claim.
-                let _ = self.ha.apply(|db| db.release(*user, buff_ids));
-                Ok(ResponseBody::Revoked {
-                    relocated: rev.relocated.len() as u64,
-                    fell_back: rev.fell_back.len() as u64,
-                })
-            }
-            RackOp::AllocExt { user, mem_size } => {
-                let buffers = self.alloc(*user, *mem_size, true)?;
-                Ok(ResponseBody::Granted { buffers })
-            }
-            RackOp::AllocSwap { user, mem_size } => {
-                let buffers = self.alloc(*user, *mem_size, false)?;
-                Ok(ResponseBody::Granted { buffers })
-            }
-            RackOp::GetLruZombie => Ok(ResponseBody::LruZombie {
-                host: self.ha.apply(|db| db.get_lru_zombie()),
-            }),
-        }
-    }
-}
-
-fn desc_of(r: &BufferRecord) -> BufferDesc {
-    BufferDesc {
-        id: r.id,
-        host: r.host,
-        mr_key: r.mr.get(),
-        size: r.size,
-        zombie: r.kind == BufferKind::Zombie,
-    }
-}
-
-fn db_error_frame(e: DbError) -> ErrorFrame {
-    match e {
-        DbError::UnknownHost(h) => ErrorFrame::UnknownHost(h),
-        DbError::UnknownBuffer(b) => ErrorFrame::UnknownBuffer(b),
-        DbError::AdmissionDenied {
-            requested,
-            available,
-        } => ErrorFrame::AdmissionDenied {
-            requested,
-            available,
-        },
-        DbError::NotTheUser(buffer, user) => ErrorFrame::NotTheUser { buffer, user },
-    }
-}
-
-fn manager_error_frame(e: ManagerError) -> ErrorFrame {
-    match e {
-        ManagerError::UnknownBuffer(b) => ErrorFrame::UnknownBuffer(b),
-        ManagerError::NoRemoteCapacity(_) => ErrorFrame::NoCapacity,
-        // Handle-level errors cannot arise from a wire request; classify
-        // them as capacity trouble rather than invent a wire variant.
-        ManagerError::UnknownHandle(_) | ManagerError::BufferBusy(_) => ErrorFrame::NoCapacity,
+        self.rack.check_failover(self.clock);
+        self.rack.apply(op)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use zombieland_core::codec::{ErrorFrame, ResponseBody};
+    use zombieland_mem::buffer::BufferId;
 
     fn model() -> ClusterModel {
         ClusterModel::boot(ModelConfig::new(8, 11))

@@ -94,8 +94,9 @@ impl ReplaySummary {
     }
 }
 
-/// Deterministically generates the `i`-th request of one client stream.
-fn gen_op(rng: &mut DetRng, servers: u32) -> RackOp {
+/// Deterministically generates the next request of one client stream
+/// (the replay's seven-op mix over `servers` host ids).
+pub fn gen_op(rng: &mut DetRng, servers: u32) -> RackOp {
     let host = ServerId::new(rng.below(servers as u64) as u32);
     match rng.below(100) {
         0..=24 => RackOp::AllocSwap {

@@ -35,6 +35,14 @@ trap 'rm -f "$ZL_TRACE"' EXIT
     experiment fig9 > /dev/null
 ./target/release/zombieland-cli validate-trace "$ZL_TRACE"
 
+echo "==> experiment smoke (the cheap figures and tables run through the CLI)"
+for exp in fig1 fig2 fig3 fig4 fig6 table3; do
+    if ! ./target/release/zombieland-cli experiment "$exp" > /dev/null; then
+        echo "verify: FAIL — experiment $exp did not run" >&2
+        exit 1
+    fi
+done
+
 echo "==> bench smoke (tiny grid emits a well-formed BENCH json, no bogus regression)"
 ZL_BENCH=$(mktemp /tmp/zl-bench.XXXXXX.json)
 trap 'rm -f "$ZL_TRACE" "$ZL_BENCH"' EXIT

@@ -1,48 +1,11 @@
-//! End-to-end: the whole stack from cloud scheduler down to RDMA verbs.
+//! End-to-end: a workload driven by the hypervisor engine, paging over
+//! a rack down to RDMA verbs.
 
-use zombieland::cloud::stack::{VmSpec, ZombieStack};
 use zombieland::core::manager::PoolKind;
 use zombieland::core::RackConfig;
 use zombieland::hypervisor::engine::{self, Backing, EngineConfig};
 use zombieland::simcore::{Bytes, SimDuration};
 use zombieland::workloads::DataCaching;
-
-fn spec(id: u64, cpu: f64, mem_gib: u64, cpu_used: f64) -> VmSpec {
-    VmSpec {
-        id,
-        cpu,
-        mem: Bytes::gib(mem_gib),
-        wss: Bytes::gib(mem_gib).mul_f64(0.8),
-        cpu_used,
-    }
-}
-
-/// Boot VMs through the cloud layer, consolidate, then actually *run* a
-/// workload on the consolidated rack via the hypervisor engine, paging to
-/// the zombie the consolidation created.
-#[test]
-fn consolidate_then_page_through_the_created_zombie() {
-    let mut stack = ZombieStack::new(RackConfig {
-        servers: 3,
-        ..RackConfig::default()
-    });
-    // One busy memory-heavy VM pins host A; an idle VM lands alone and
-    // gets consolidated away; its host becomes a zombie.
-    stack.boot_vm(spec(1, 0.4, 12, 0.35)).unwrap();
-    stack.boot_vm(spec(2, 0.3, 8, 0.05)).unwrap();
-    let report = stack.consolidate().unwrap();
-    assert!(
-        !report.suspended.is_empty(),
-        "consolidation created zombies"
-    );
-    let pool_before = stack.rack().db().free_buffers();
-    assert!(pool_before > 0);
-
-    // The migrated VM keeps part of its memory remote.
-    let migrated = stack.vms().find(|v| v.spec.id == 2).unwrap();
-    assert!(!migrated.remote_buffers.is_empty());
-    assert!(migrated.local >= migrated.spec.mem.mul_f64(0.3).mul_f64(0.8));
-}
 
 /// The full data path under an engine-driven workload across the rack the
 /// examples use, ending with clean teardown.
