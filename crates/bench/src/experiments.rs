@@ -458,7 +458,7 @@ pub fn figure9() -> Vec<(u32, f64, f64)> {
         .iter()
         .map(|&pct| {
             let (native, zombie) =
-                zombieland_cloud::migration::figure9_point(vm_mem, pct as f64 / 100.0);
+                zombieland_simulator::migration::figure9_point(vm_mem, pct as f64 / 100.0);
             (pct, native.total.as_secs_f64(), zombie.total.as_secs_f64())
         })
         .collect()

@@ -25,13 +25,12 @@
 use core::cmp::Ordering;
 use std::collections::BTreeSet;
 
-use zombieland_cloud::oasis::OasisConfig;
 use zombieland_energy::PowerModel;
 use zombieland_simcore::{derive_seed, Joules, SimTime, Watts};
 use zombieland_trace::google::ClusterTrace;
 
 use crate::crew::{merge_hit, Crew, ScanHit, ScanReq, CREW_MIN_FLEET};
-use crate::policy::{HostLoad, WakePreference};
+use crate::policy::{HostLoad, WakePreference, UNDERLOAD_THRESHOLD};
 use crate::report::SimReport;
 use crate::SimConfig;
 
@@ -65,9 +64,9 @@ pub(crate) struct Hosts {
     pub(crate) remote_allocated: Vec<f64>,
     /// Resident VM (task) ids per host.
     pub(crate) vms: Vec<Vec<usize>>,
-    /// Usable memory of each host in server-equivalents: the config's
-    /// `usable_mem` scaled by the host generation's socket capacity.
-    /// Uniform fleets store the config value bit-for-bit, so every
+    /// Usable memory of each host in server-equivalents: [`USABLE_MEM`]
+    /// scaled by the host generation's socket capacity.
+    /// Uniform fleets store the constant bit-for-bit, so every
     /// `cap[i]` read reproduces the old global-constant math exactly.
     pub(crate) cap: Vec<f64>,
     /// Model year of each host's generation (`0` = uniform fleet of the
@@ -127,6 +126,10 @@ const GENERATION_SEED: u64 = 0x4745_4E53_2D30_3130; // "GENS-010"
 /// GiB per socket of the reference machine the memory unit (1.0 = one
 /// server's RAM) is calibrated to — the paper testbed's 16 GiB servers.
 const REFERENCE_GIB_PER_SOCKET: f64 = 16.0;
+
+/// Fraction of a reference host's memory usable by VMs; the rest is the
+/// hypervisor/system reserve.
+const USABLE_MEM: f64 = 0.94;
 
 /// Bookkeeping for one in-flight (two-phase) consolidation move.
 #[derive(Clone, Copy, Debug)]
@@ -203,7 +206,6 @@ pub(crate) struct Dc {
     pub(crate) energy: Joules,
     pub(crate) last: SimTime,
     pub(crate) report: SimReport,
-    pub(crate) oasis: OasisConfig,
     /// Per-shard index sets (see [`Shard`]); `shards.len()` is the
     /// effective shard count, `cfg.shards` clamped to the rack count.
     pub(crate) shards: Vec<Shard>,
@@ -291,7 +293,7 @@ impl Dc {
             let r = i as u32 % cfg.racks;
             rack.push(r);
             if cfg.generations.is_empty() {
-                cap.push(cfg.usable_mem);
+                cap.push(USABLE_MEM);
                 generation.push(0);
                 power.push(cfg.power);
             } else {
@@ -302,7 +304,7 @@ impl Dc {
                 let year = cfg.generations[pick];
                 let g = zombieland_trace::generations::by_year(year)
                     .expect("SimConfig::validate checked the generation years");
-                cap.push(cfg.usable_mem * (g.gib_per_socket() as f64 / REFERENCE_GIB_PER_SOCKET));
+                cap.push(USABLE_MEM * (g.gib_per_socket() as f64 / REFERENCE_GIB_PER_SOCKET));
                 generation.push(year);
                 power.push(
                     zombieland_energy::generation_power(year)
@@ -355,7 +357,6 @@ impl Dc {
                 peak_queue: 0,
                 timeline: Vec::new(),
             },
-            oasis: OasisConfig::default(),
             shards,
             zombies_by_rack: vec![BTreeSet::new(); cfg.racks as usize],
             remote_vms_by_rack: vec![BTreeSet::new(); cfg.racks as usize],
@@ -507,10 +508,6 @@ impl Dc {
             buf.resize(racks as usize, 0.0);
         }
         self.pool_buf = buf;
-    }
-
-    fn usable_mem(&self) -> f64 {
-        self.cfg.usable_mem
     }
 
     /// Free remote-pool memory in one rack. Under the zombie backend the
@@ -995,10 +992,8 @@ impl Dc {
         // The capacity column matches the generation column exactly.
         for i in 0..self.hosts.len() {
             let expected = match zombieland_trace::generations::by_year(self.hosts.generation[i]) {
-                Some(g) => {
-                    self.cfg.usable_mem * (g.gib_per_socket() as f64 / REFERENCE_GIB_PER_SOCKET)
-                }
-                None => self.cfg.usable_mem,
+                Some(g) => USABLE_MEM * (g.gib_per_socket() as f64 / REFERENCE_GIB_PER_SOCKET),
+                None => USABLE_MEM,
             };
             assert_eq!(
                 self.hosts.cap[i].to_bits(),
@@ -1093,8 +1088,7 @@ impl Dc {
         // total order the old `total_cmp().then(cmp)` sort produced.
         // Candidates are snapshot into the buffer before evacuating
         // because try_evacuate itself edits `by_used`.
-        let underload = policy.underload_threshold();
-        let limit = merge_key(underload);
+        let limit = merge_key(UNDERLOAD_THRESHOLD);
         let mut order = std::mem::take(&mut self.order_buf);
         order.clear();
         order.extend(
@@ -1124,10 +1118,7 @@ impl Dc {
                 // First (lowest-index) idle zombie, as the old full-fleet
                 // `position` scan found it.
                 match self.scan_merged(ScanReq::IdleZombie) {
-                    Some(i)
-                        if self.pool_free_total() - self.usable_mem()
-                            >= threshold + self.usable_mem() =>
-                    {
+                    Some(i) if self.pool_free_total() - USABLE_MEM >= threshold + USABLE_MEM => {
                         self.update_host(i, |h| *h.state = HState::Sleeping);
                     }
                     _ => break,
@@ -1322,19 +1313,17 @@ impl Dc {
         if self.hosts.state[target] != HState::Active {
             return false;
         }
-        self.cfg.policy.consolidation.accepts_migration(
-            &self.host_load(target),
-            vm,
-            pool,
-            self.cfg.cpu_fill_cap,
-        )
+        self.cfg
+            .policy
+            .consolidation
+            .accepts_migration(&self.host_load(target), vm, pool)
     }
 
     /// Oasis: park the cold memory of idle VMs on underused hosts.
     fn oasis_park(&mut self, trace: &ClusterTrace) {
         for host in 0..self.hosts.len() {
             if self.hosts.state[host] != HState::Active
-                || self.hosts.cpu_used[host] >= self.oasis.underload_threshold
+                || self.hosts.cpu_used[host] >= UNDERLOAD_THRESHOLD
             {
                 continue;
             }
@@ -1343,7 +1332,7 @@ impl Dc {
             for vi in 0..self.hosts.vms[host].len() {
                 let task = self.hosts.vms[host][vi];
                 let t = &trace.tasks()[task];
-                if t.cpu_used >= self.oasis.idle_vm_threshold {
+                if !t.is_idle() {
                     continue;
                 }
                 let vm = self.vms[task].as_mut().expect("placed");

@@ -67,8 +67,9 @@ fn tick(
 /// # Panics
 ///
 /// Panics if `cfg` is invalid (see [`SimConfig::validate`]) — a zero
-/// `racks` or `usable_mem` would silently corrupt the run, so it is
-/// rejected up front instead of clamped at each use site.
+/// `racks` would silently corrupt the run and a zero
+/// `consolidation_interval` would never finish, so both are rejected
+/// up front instead of clamped at each use site.
 pub fn simulate(trace: &ClusterTrace, cfg: &SimConfig) -> SimReport {
     if let Err(e) = cfg.validate() {
         panic!("invalid SimConfig: {e}");

@@ -19,8 +19,11 @@
 //!
 //! - [`policy`] — the [`PlacementPolicy`](policy::PlacementPolicy) /
 //!   [`ConsolidationPolicy`](policy::ConsolidationPolicy) traits, their
-//!   paper implementations and the static [`registry`](policy::REGISTRY)
-//!   that `--policy` / `--list-policies` resolve against.
+//!   paper implementations (the one home of the §5 Nova/Neat/Oasis
+//!   rules and their thresholds) and the static
+//!   [`registry`](policy::REGISTRY) that `--policy` / `--list-policies`
+//!   resolve against.
+//! - [`migration`] — the §5.3 migration timing models behind Fig. 9.
 //! - [`dc`](self) *(private)* — datacenter state and mechanics: host
 //!   accounting, the rack-local remote pool, two-phase evacuation.
 //! - `power` *(private)* — energy integration through the
@@ -36,6 +39,7 @@
 mod crew;
 mod dc;
 mod events;
+pub mod migration;
 pub mod policy;
 mod power;
 mod report;
@@ -60,13 +64,9 @@ pub struct SimConfig {
     /// Host power model pricing each state/utilization (the
     /// Table-3-calibrated [`zombieland_energy::Table3Power`] by default).
     pub power: &'static dyn PowerModel,
-    /// Consolidation period (OpenStack Neat defaults to minutes).
+    /// Consolidation period (OpenStack Neat defaults to minutes). Must
+    /// be non-zero ([`SimConfig::validate`]).
     pub consolidation_interval: SimDuration,
-    /// Fraction of a host's memory usable by VMs (the rest is the
-    /// hypervisor/system reserve).
-    pub usable_mem: f64,
-    /// Maximum booked-CPU fill during consolidation packing.
-    pub cpu_fill_cap: f64,
     /// Demote a zombie to S3 when the free pool exceeds this many
     /// server-equivalents of memory (§4.4; `None` disables).
     pub sz_demote_threshold: Option<f64>,
@@ -128,8 +128,6 @@ impl SimConfig {
             profile,
             power: &TABLE3,
             consolidation_interval: SimDuration::from_mins(5),
-            usable_mem: 0.94,
-            cpu_fill_cap: 0.90,
             sz_demote_threshold: Some(1.0),
             transition_costs: true,
             racks,
@@ -144,7 +142,8 @@ impl SimConfig {
     /// Rejects configurations the simulation cannot run meaningfully.
     /// [`simulate`] calls this up front, so the mechanics never see a
     /// zero rack count (the old code clamped `racks.max(1)` at four
-    /// separate call sites) or a non-positive memory reserve.
+    /// separate call sites) or a zero consolidation period (the tick
+    /// would reschedule itself at the same instant forever).
     pub fn validate(&self) -> Result<(), String> {
         if self.racks == 0 {
             return Err("racks must be >= 1 (the remote pool is rack-local)".into());
@@ -152,17 +151,8 @@ impl SimConfig {
         if self.shards == 0 {
             return Err("shards must be >= 1 (1 = the serial event loop)".into());
         }
-        if !self.usable_mem.is_finite() || self.usable_mem <= 0.0 {
-            return Err(format!(
-                "usable_mem must be a positive fraction, got {}",
-                self.usable_mem
-            ));
-        }
-        if !self.cpu_fill_cap.is_finite() || self.cpu_fill_cap <= 0.0 {
-            return Err(format!(
-                "cpu_fill_cap must be positive, got {}",
-                self.cpu_fill_cap
-            ));
+        if self.consolidation_interval == SimDuration::ZERO {
+            return Err("consolidation_interval must be > 0".into());
         }
         if !self.backend.backend.pools_host_memory()
             && (!self.cxl_capacity.is_finite() || self.cxl_capacity <= 0.0)

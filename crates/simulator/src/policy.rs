@@ -7,15 +7,14 @@
 //! - [`PlacementPolicy`] — can an active host admit an arriving VM, and
 //!   which host to wake when none can.
 //! - [`ConsolidationPolicy`] — whether/how periodic consolidation runs:
-//!   the underload threshold, the migration feasibility rule, what an
-//!   emptied host becomes (S3 or Sz) and whether idle zombies demote.
+//!   the migration feasibility rule, what an emptied host becomes (S3 or
+//!   Sz) and whether idle zombies demote.
 //!
-//! Implementations delegate their parameters to the existing
-//! `zombieland_cloud` types ([`NovaScheduler`], [`Neat`]) but keep the
-//! simulator's exact admission arithmetic — same epsilons, same
-//! evaluation order — because the refactor contract is bit-for-bit
-//! identical reports (see `tests/policy_conformance.rs` and
-//! `tests/golden_report.rs`).
+//! This module is the one home of the paper's §5 rules (Nova placement,
+//! Neat consolidation, the Oasis baseline); each paper number is a named
+//! constant below. The admission arithmetic — epsilons, evaluation
+//! order — is pinned bit for bit by `tests/policy_conformance.rs` and
+//! `tests/golden_report.rs`.
 //!
 //! Policies register in [`REGISTRY`] under a CLI key; [`lookup`]
 //! resolves names case-insensitively, which is how `--policy` and
@@ -24,8 +23,32 @@
 
 use core::fmt;
 
-use zombieland_cloud::consolidation::{ConsolidationMode, Neat};
-use zombieland_cloud::placement::NovaScheduler;
+/// Hosts below this actual CPU utilization are underloaded: Neat's
+/// evacuation candidates and Oasis's parking hosts (the paper's 20 %).
+pub const UNDERLOAD_THRESHOLD: f64 = 0.20;
+
+/// Minimum share of an arriving VM's booked memory that ZombieStack
+/// placement serves locally: the 50 % rule of §5.1/§6.3.
+pub const MIN_LOCAL_FRACTION: f64 = 0.5;
+
+/// Minimum share of a migrating VM's working set that ZombieStack
+/// consolidation keeps local on the target: the 30 %-of-WSS rule (§5.2).
+pub const MIN_LOCAL_WSS_FRACTION: f64 = 0.30;
+
+/// ZombieStack's cap on a host's actual CPU use after admitting or
+/// receiving a VM (usage-aware packing).
+pub const USAGE_CAP: f64 = 0.85;
+
+/// ZombieStack's cap on a host's booked CPU: a bounded overcommit over
+/// one server.
+pub const BOOKING_OVERCOMMIT: f64 = 1.3;
+
+/// Vanilla Neat's booked-CPU fill cap for migration targets.
+pub const NEAT_FILL_CAP: f64 = 0.90;
+
+/// Power of an Oasis memory server relative to a regular server's
+/// maximum ("about 40 % ... as stated in the original paper").
+pub const MEMORY_SERVER_POWER: f64 = 0.40;
 
 /// A candidate host's load, precomputed by the simulator for admission
 /// checks. Capacities are normalized to "one server" = 1.0 on both axes.
@@ -36,7 +59,7 @@ pub struct HostLoad {
     /// Actual CPU utilization.
     pub cpu_used: f64,
     /// Free local memory after the hypervisor reserve,
-    /// `(usable_mem − mem_local).max(0)`.
+    /// `(capacity − mem_local).max(0)`.
     pub free_local: f64,
 }
 
@@ -78,9 +101,6 @@ pub trait ConsolidationPolicy: Send + Sync + fmt::Debug {
         true
     }
 
-    /// Hosts below this actual CPU utilization are evacuation candidates.
-    fn underload_threshold(&self) -> f64;
-
     /// Whether idle VMs' cold memory parks on memory servers before the
     /// evacuation pass (Oasis partial migration).
     fn parks_idle_memory(&self) -> bool {
@@ -108,15 +128,8 @@ pub trait ConsolidationPolicy: Send + Sync + fmt::Debug {
     }
 
     /// Whether `host` can receive the migrating VM `vm`. `pool` is the
-    /// free remote pool of the host's rack, `cpu_fill_cap` the
-    /// configured booked-CPU packing cap.
-    fn accepts_migration(
-        &self,
-        host: &HostLoad,
-        vm: &MigrantVm,
-        pool: f64,
-        cpu_fill_cap: f64,
-    ) -> bool;
+    /// free remote pool of the host's rack.
+    fn accepts_migration(&self, host: &HostLoad, vm: &MigrantVm, pool: f64) -> bool;
 }
 
 /// A migrating VM's demand, as judged by
@@ -140,17 +153,11 @@ pub struct MigrantVm {
 
 /// Vanilla Nova placement: the full booking must fit locally.
 #[derive(Debug)]
-pub struct FullBookingPlacement {
-    nova: NovaScheduler,
-}
+pub struct FullBookingPlacement;
 
 impl PlacementPolicy for FullBookingPlacement {
     fn admit(&self, h: &HostLoad, cpu: f64, _cpu_used: f64, mem: f64, _pool: f64) -> Option<f64> {
-        // min_local_fraction is 1.0 here, so the memory condition is the
-        // classic "all booked memory local".
-        if h.cpu_booked + cpu > 1.0 + 1e-9
-            || h.free_local + 1e-9 < self.nova.min_local_fraction * mem
-        {
+        if h.cpu_booked + cpu > 1.0 + 1e-9 || h.free_local + 1e-9 < mem {
             None
         } else {
             Some(mem)
@@ -162,20 +169,20 @@ impl PlacementPolicy for FullBookingPlacement {
 /// booking overcommit, the 50 % local rule, remote share from the rack
 /// pool.
 #[derive(Debug)]
-pub struct ZombieStackPlacement {
-    nova: NovaScheduler,
-}
+pub struct ZombieStackPlacement;
 
 impl PlacementPolicy for ZombieStackPlacement {
     fn admit(&self, h: &HostLoad, cpu: f64, cpu_used: f64, mem: f64, pool: f64) -> Option<f64> {
         // Usage-aware CPU admission with a bounded booking overcommit,
         // mirroring the consolidation rule, so that arrivals can land on
         // usage-packed hosts instead of waking zombies.
-        if h.cpu_used + cpu_used > 0.85 + 1e-9 || h.cpu_booked + cpu > 1.3 + 1e-9 {
+        if h.cpu_used + cpu_used > USAGE_CAP + 1e-9
+            || h.cpu_booked + cpu > BOOKING_OVERCOMMIT + 1e-9
+        {
             return None;
         }
         let local = mem.min(h.free_local);
-        if local + 1e-9 < self.nova.min_local_fraction * mem {
+        if local + 1e-9 < MIN_LOCAL_FRACTION * mem {
             return None;
         }
         if mem - local > pool + 1e-9 {
@@ -195,26 +202,14 @@ impl PlacementPolicy for ZombieStackPlacement {
 
 /// Consolidation disabled (AlwaysOn baseline, NoConsolidate toy).
 #[derive(Debug)]
-pub struct DisabledConsolidation {
-    neat: Neat,
-}
+pub struct DisabledConsolidation;
 
 impl ConsolidationPolicy for DisabledConsolidation {
     fn enabled(&self) -> bool {
         false
     }
 
-    fn underload_threshold(&self) -> f64 {
-        self.neat.underload_threshold
-    }
-
-    fn accepts_migration(
-        &self,
-        _host: &HostLoad,
-        _vm: &MigrantVm,
-        _pool: f64,
-        _cpu_fill_cap: f64,
-    ) -> bool {
+    fn accepts_migration(&self, _host: &HostLoad, _vm: &MigrantVm, _pool: f64) -> bool {
         false
     }
 }
@@ -223,43 +218,26 @@ impl ConsolidationPolicy for DisabledConsolidation {
 /// hosts suspend to S3.
 #[derive(Debug)]
 pub struct VanillaNeatConsolidation {
-    neat: Neat,
     /// Oasis layers partial migration on top of the same planner.
     parks: bool,
 }
 
 impl ConsolidationPolicy for VanillaNeatConsolidation {
-    fn underload_threshold(&self) -> f64 {
-        self.neat.underload_threshold
-    }
-
     fn parks_idle_memory(&self) -> bool {
         self.parks
     }
 
-    fn accepts_migration(
-        &self,
-        h: &HostLoad,
-        vm: &MigrantVm,
-        _pool: f64,
-        cpu_fill_cap: f64,
-    ) -> bool {
-        h.cpu_booked + vm.cpu_booked <= cpu_fill_cap + 1e-9 && h.free_local + 1e-9 >= vm.mem
+    fn accepts_migration(&self, h: &HostLoad, vm: &MigrantVm, _pool: f64) -> bool {
+        h.cpu_booked + vm.cpu_booked <= NEAT_FILL_CAP + 1e-9 && h.free_local + 1e-9 >= vm.mem
     }
 }
 
 /// ZombieStack consolidation: the 30 %-of-WSS rule, usage-based CPU
 /// packing, emptied hosts enter Sz, idle zombies demote to S3.
 #[derive(Debug)]
-pub struct ZombieStackConsolidation {
-    neat: Neat,
-}
+pub struct ZombieStackConsolidation;
 
 impl ConsolidationPolicy for ZombieStackConsolidation {
-    fn underload_threshold(&self) -> f64 {
-        self.neat.underload_threshold
-    }
-
     fn evacuates_to_zombie(&self) -> bool {
         true
     }
@@ -273,20 +251,16 @@ impl ConsolidationPolicy for ZombieStackConsolidation {
         booked
     }
 
-    fn accepts_migration(
-        &self,
-        h: &HostLoad,
-        vm: &MigrantVm,
-        pool: f64,
-        _cpu_fill_cap: f64,
-    ) -> bool {
+    fn accepts_migration(&self, h: &HostLoad, vm: &MigrantVm, pool: f64) -> bool {
         // Usage-based CPU packing with a bounded booking overcommit.
-        if h.cpu_used + vm.cpu_used > 0.85 + 1e-9 || h.cpu_booked + vm.cpu_booked > 1.3 + 1e-9 {
+        if h.cpu_used + vm.cpu_used > USAGE_CAP + 1e-9
+            || h.cpu_booked + vm.cpu_booked > BOOKING_OVERCOMMIT + 1e-9
+        {
             return false;
         }
-        // The 30 %-of-WSS rule, as in `Neat::fits` (ZombieStack mode).
+        // The 30 %-of-WSS rule; the remote pool takes the rest.
         let local = vm.mem.min(h.free_local);
-        local + 1e-9 >= 0.30 * vm.wss && (vm.mem - local) <= pool + 1e-9
+        local + 1e-9 >= MIN_LOCAL_WSS_FRACTION * vm.wss && (vm.mem - local) <= pool + 1e-9
     }
 }
 
@@ -317,26 +291,12 @@ impl fmt::Debug for PolicySpec {
     }
 }
 
-static FULL_BOOKING: FullBookingPlacement = FullBookingPlacement {
-    nova: NovaScheduler::vanilla(),
-};
-static ZOMBIE_PLACEMENT: ZombieStackPlacement = ZombieStackPlacement {
-    nova: NovaScheduler::zombiestack(),
-};
-static DISABLED: DisabledConsolidation = DisabledConsolidation {
-    neat: Neat::new(ConsolidationMode::VanillaNeat),
-};
-static VANILLA_NEAT: VanillaNeatConsolidation = VanillaNeatConsolidation {
-    neat: Neat::new(ConsolidationMode::VanillaNeat),
-    parks: false,
-};
-static OASIS_NEAT: VanillaNeatConsolidation = VanillaNeatConsolidation {
-    neat: Neat::new(ConsolidationMode::VanillaNeat),
-    parks: true,
-};
-static ZOMBIE_CONSOLIDATION: ZombieStackConsolidation = ZombieStackConsolidation {
-    neat: Neat::new(ConsolidationMode::ZombieStack),
-};
+static FULL_BOOKING: FullBookingPlacement = FullBookingPlacement;
+static ZOMBIE_PLACEMENT: ZombieStackPlacement = ZombieStackPlacement;
+static DISABLED: DisabledConsolidation = DisabledConsolidation;
+static VANILLA_NEAT: VanillaNeatConsolidation = VanillaNeatConsolidation { parks: false };
+static OASIS_NEAT: VanillaNeatConsolidation = VanillaNeatConsolidation { parks: true };
+static ZOMBIE_CONSOLIDATION: ZombieStackConsolidation = ZombieStackConsolidation;
 
 /// The AlwaysOn baseline.
 pub static ALWAYS_ON: PolicySpec = PolicySpec {
@@ -488,6 +448,104 @@ mod tests {
             NEAT.placement.wake_preference(),
             WakePreference::FirstSleeping
         );
+    }
+
+    fn host(cpu_booked: f64, cpu_used: f64, free_local: f64) -> HostLoad {
+        HostLoad {
+            cpu_booked,
+            cpu_used,
+            free_local,
+        }
+    }
+
+    fn migrant(cpu_booked: f64, cpu_used: f64, mem: f64, wss: f64) -> MigrantVm {
+        MigrantVm {
+            cpu_booked,
+            cpu_used,
+            mem,
+            wss,
+        }
+    }
+
+    #[test]
+    fn placement_keeps_the_fifty_percent_local_rule() {
+        let zs = ZOMBIE_STACK.placement;
+        // 0.3 free locally for a 0.5 booking: vanilla needs all of it
+        // local, ZombieStack takes 0.3 local (>= 50 %) + 0.2 remote.
+        let h = host(0.0, 0.0, 0.3);
+        assert_eq!(NEAT.placement.admit(&h, 0.2, 0.1, 0.5, 10.0), None);
+        let local = zs.admit(&h, 0.2, 0.1, 0.5, 10.0).unwrap();
+        assert!((local - 0.3).abs() < 1e-12);
+        // Only 0.2 free: below the 0.25 the rule demands.
+        assert_eq!(zs.admit(&host(0.0, 0.0, 0.2), 0.1, 0.05, 0.5, 10.0), None);
+        // Local memory is preferred whenever it covers the booking.
+        assert_eq!(
+            zs.admit(&host(0.0, 0.0, 0.8), 0.1, 0.05, 0.5, 0.0),
+            Some(0.5)
+        );
+    }
+
+    #[test]
+    fn placement_remote_share_comes_from_the_rack_pool() {
+        let zs = ZOMBIE_STACK.placement;
+        let h = host(0.0, 0.0, 0.3);
+        // The remote share is 0.2: a 0.1 pool cannot cover it.
+        assert_eq!(zs.admit(&h, 0.1, 0.05, 0.5, 0.1), None);
+        assert!(zs.admit(&h, 0.1, 0.05, 0.5, 0.2).is_some());
+    }
+
+    #[test]
+    fn placement_usage_and_booking_caps_both_reject() {
+        let zs = ZOMBIE_STACK.placement;
+        // Booked CPU may overcommit one server up to BOOKING_OVERCOMMIT.
+        assert!(zs.admit(&host(1.1, 0.5, 1.0), 0.2, 0.1, 0.1, 0.0).is_some());
+        assert_eq!(zs.admit(&host(1.2, 0.5, 1.0), 0.2, 0.1, 0.1, 0.0), None);
+        // Actual usage may not pass USAGE_CAP, whatever the booking.
+        assert_eq!(zs.admit(&host(0.2, 0.8, 1.0), 0.1, 0.1, 0.1, 0.0), None);
+        assert!(zs.admit(&host(0.2, 0.7, 1.0), 0.1, 0.1, 0.1, 0.0).is_some());
+        // Vanilla never overcommits the booking.
+        assert_eq!(
+            NEAT.placement
+                .admit(&host(0.9, 0.1, 1.0), 0.2, 0.1, 0.1, 0.0),
+            None
+        );
+    }
+
+    #[test]
+    fn consolidation_keeps_the_thirty_percent_of_wss_rule() {
+        let zs = ZOMBIE_STACK.consolidation;
+        // Target with 0.2 free; the VM books 0.5 and its WSS is 0.4.
+        let target = host(0.4, 0.3, 0.2);
+        let vm = migrant(0.2, 0.16, 0.5, 0.4);
+        // Vanilla needs the whole 0.5 free: rejected.
+        assert!(!NEAT.consolidation.accepts_migration(&target, &vm, 10.0));
+        // ZombieStack needs 0.3 x 0.4 = 0.12 local: accepted...
+        assert!(zs.accepts_migration(&target, &vm, 10.0));
+        // ...unless the pool cannot take the 0.3 overflow...
+        assert!(!zs.accepts_migration(&target, &vm, 0.1));
+        // ...or the target cannot keep 30 % of the WSS local.
+        assert!(!zs.accepts_migration(&host(0.4, 0.3, 0.1), &vm, 10.0));
+        // The usage and booking caps apply as in placement.
+        assert!(!zs.accepts_migration(&host(0.4, 0.7, 0.2), &vm, 10.0));
+        assert!(!zs.accepts_migration(&host(1.2, 0.3, 0.2), &vm, 10.0));
+    }
+
+    #[test]
+    fn vanilla_migration_needs_the_full_booking_within_the_fill_cap() {
+        let neat = NEAT.consolidation;
+        let vm = migrant(0.2, 0.16, 0.5, 0.4);
+        assert!(neat.accepts_migration(&host(0.7, 0.5, 0.5), &vm, 0.0));
+        // Booked CPU past NEAT_FILL_CAP.
+        assert!(!neat.accepts_migration(&host(0.75, 0.5, 0.5), &vm, 0.0));
+        // Not all of the footprint fits locally; the pool does not help.
+        assert!(!neat.accepts_migration(&host(0.7, 0.5, 0.4), &vm, 10.0));
+        // Oasis shares the rule; the disabled consolidator takes nothing.
+        assert!(OASIS
+            .consolidation
+            .accepts_migration(&host(0.7, 0.5, 0.5), &vm, 0.0));
+        assert!(!ALWAYS_ON
+            .consolidation
+            .accepts_migration(&host(0.0, 0.0, 1.0), &vm, 10.0));
     }
 
     #[test]

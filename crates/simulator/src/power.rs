@@ -10,6 +10,7 @@ use zombieland_energy::{HostDraw, MachineProfile};
 use zombieland_simcore::{SimDuration, SimTime, Watts};
 
 use crate::dc::{Dc, HState};
+use crate::policy::MEMORY_SERVER_POWER;
 
 impl Dc {
     pub(crate) fn profile(&self) -> &MachineProfile {
@@ -51,8 +52,11 @@ impl Dc {
     pub(crate) fn advance(&mut self, now: SimTime) {
         let dt = now.saturating_since(self.last);
         if dt > SimDuration::ZERO {
+            // Parked memory fills whole memory servers, each drawing
+            // `MEMORY_SERVER_POWER` of a regular server.
+            let memory_servers = self.parked_mem.ceil() as u32;
             let parked_power =
-                self.profile().max_power() * self.oasis.memory_server_power(self.parked_mem);
+                self.profile().max_power() * (memory_servers as f64 * MEMORY_SERVER_POWER);
             // The zombie backend's pool is host memory, already priced in
             // `total_power`; a shared tier adds its own per-rack draw. The
             // first branch must stay the exact historical expression — it

@@ -4,6 +4,13 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+# Every scratch file lives in one work dir; one trap removes it and stops
+# a still-running zombied on any exit.
+ZL_WORK=$(mktemp -d /tmp/zl-verify.XXXXXX)
+ZOMBIED_PID=""
+trap '[ -n "${ZOMBIED_PID:-}" ] && kill "$ZOMBIED_PID" 2>/dev/null || true; \
+     rm -rf "$ZL_WORK"' EXIT
+
 echo "==> cargo fmt --all --check"
 cargo fmt --all --check
 
@@ -29,8 +36,7 @@ echo "==> cargo test --workspace -q"
 cargo test --workspace -q
 
 echo "==> observability smoke (trace export parses and is non-empty)"
-ZL_TRACE=$(mktemp /tmp/zl-trace.XXXXXX.jsonl)
-trap 'rm -f "$ZL_TRACE"' EXIT
+ZL_TRACE="$ZL_WORK/trace.jsonl"
 ./target/release/zombieland-cli --obs-level full --trace-out "$ZL_TRACE" \
     experiment fig9 > /dev/null
 ./target/release/zombieland-cli validate-trace "$ZL_TRACE"
@@ -44,8 +50,7 @@ for exp in fig1 fig2 fig3 fig4 fig6 table3; do
 done
 
 echo "==> bench smoke (tiny grid emits a well-formed BENCH json, no bogus regression)"
-ZL_BENCH=$(mktemp /tmp/zl-bench.XXXXXX.json)
-trap 'rm -f "$ZL_TRACE" "$ZL_BENCH"' EXIT
+ZL_BENCH="$ZL_WORK/bench.json"
 ./target/release/zombieland-cli bench --quick --servers 24 --scale 0.02 \
     --jobs 2 --out "$ZL_BENCH" > /dev/null
 grep -q '"schema": "zombieland-bench-v1"' "$ZL_BENCH"
@@ -73,9 +78,8 @@ if [ "${ZL_HP:-1}" -gt 1 ]; then
 fi
 
 echo "==> scaling smoke (table1 output is byte-identical at jobs=1 and jobs=2)"
-ZL_J1=$(mktemp /tmp/zl-jobs1.XXXXXX.txt)
-ZL_J2=$(mktemp /tmp/zl-jobs2.XXXXXX.txt)
-trap 'rm -f "$ZL_TRACE" "$ZL_BENCH" "$ZL_J1" "$ZL_J2"' EXIT
+ZL_J1="$ZL_WORK/jobs1.txt"
+ZL_J2="$ZL_WORK/jobs2.txt"
 ./target/release/zombieland-cli experiment table1 --scale 0.02 --jobs 1 > "$ZL_J1"
 ./target/release/zombieland-cli experiment table1 --scale 0.02 --jobs 2 > "$ZL_J2"
 if ! cmp "$ZL_J1" "$ZL_J2"; then
@@ -84,9 +88,8 @@ if ! cmp "$ZL_J1" "$ZL_J2"; then
 fi
 
 echo "==> scenario smoke (--scenario file matches the equivalent ZL_* env run)"
-ZL_SCEN=$(mktemp /tmp/zl-scenario.XXXXXX.txt)
-ZL_ENV=$(mktemp /tmp/zl-env.XXXXXX.txt)
-trap 'rm -f "$ZL_TRACE" "$ZL_BENCH" "$ZL_J1" "$ZL_J2" "$ZL_SCEN" "$ZL_ENV"' EXIT
+ZL_SCEN="$ZL_WORK/scenario.txt"
+ZL_ENV="$ZL_WORK/env.txt"
 ./target/release/zombieland-cli --scenario scenarios/smoke.toml \
     experiment table1 > "$ZL_SCEN"
 ZL_SCALE=0.02 ZL_JOBS=1 ./target/release/zombieland-cli \
@@ -102,10 +105,8 @@ if ./target/release/zombieland-cli --scenario /nonexistent.toml \
 fi
 
 echo "==> sharding smoke (--shards 2 report bytes match the serial loop)"
-ZL_S1=$(mktemp /tmp/zl-shards1.XXXXXX.txt)
-ZL_S2=$(mktemp /tmp/zl-shards2.XXXXXX.txt)
-trap 'rm -f "$ZL_TRACE" "$ZL_BENCH" "$ZL_J1" "$ZL_J2" "$ZL_SCEN" "$ZL_ENV" \
-     "$ZL_S1" "$ZL_S2"' EXIT
+ZL_S1="$ZL_WORK/shards1.txt"
+ZL_S2="$ZL_WORK/shards2.txt"
 ZL_RACKS=6 ./target/release/zombieland-cli --shards 1 simulate \
     --servers 120 --days 1 --policy zombiestack --jobs 1 > "$ZL_S1"
 ZL_RACKS=6 ./target/release/zombieland-cli --shards 2 simulate \
@@ -121,9 +122,7 @@ if ./target/release/zombieland-cli --shards 0 simulate --servers 24 --days 1 \
 fi
 
 echo "==> streaming-memory guard (paper-preset bench bounds the resident event queue)"
-ZL_PAPER=$(mktemp /tmp/zl-paper.XXXXXX.json)
-trap 'rm -f "$ZL_TRACE" "$ZL_BENCH" "$ZL_J1" "$ZL_J2" "$ZL_SCEN" "$ZL_ENV" \
-     "$ZL_S1" "$ZL_S2" "$ZL_PAPER"' EXIT
+ZL_PAPER="$ZL_WORK/paper.json"
 # ZL_VALIDATE=1 arms the in-loop assertion that no more than one chunk of
 # the trace is ever resident; the JSON check then pins the recorded peak
 # to chunk size + 1 (the in-flight consolidation tick).
@@ -138,9 +137,7 @@ if ! grep -o '"peak_event_queue_len": [0-9]*' "$ZL_PAPER" \
 fi
 
 echo "==> scenario gallery smoke (every scenarios/*.toml runs and matches its golden)"
-ZL_GAL=$(mktemp /tmp/zl-gallery.XXXXXX.txt)
-trap 'rm -f "$ZL_TRACE" "$ZL_BENCH" "$ZL_J1" "$ZL_J2" "$ZL_SCEN" "$ZL_ENV" \
-     "$ZL_S1" "$ZL_S2" "$ZL_PAPER" "$ZL_GAL"' EXIT
+ZL_GAL="$ZL_WORK/gallery.txt"
 for scen in scenarios/*.toml; do
     name=$(basename "$scen" .toml)
     # The 48x1 grid keeps even paper_full.toml (whose servers/days the
@@ -180,9 +177,7 @@ if ! grep -q 'did you mean "cxl"' <<< "$ZL_HINT"; then
     echo "verify: FAIL — near-miss --backend should suggest 'cxl'" >&2
     exit 1
 fi
-ZL_CXL=$(mktemp /tmp/zl-cxl.XXXXXX.txt)
-trap 'rm -f "$ZL_TRACE" "$ZL_BENCH" "$ZL_J1" "$ZL_J2" "$ZL_SCEN" "$ZL_ENV" \
-     "$ZL_S1" "$ZL_S2" "$ZL_PAPER" "$ZL_GAL" "$ZL_CXL"' EXIT
+ZL_CXL="$ZL_WORK/cxl.txt"
 ./target/release/zombieland-cli --backend cxl simulate --servers 48 --days 1 \
     --policy zombiestack --jobs 1 > "$ZL_CXL"
 # The shared tier retires the zombie state entirely.
@@ -207,12 +202,8 @@ if ./target/release/zombieland-cli simulate --policy nosuchpolicy \
 fi
 
 echo "==> daemon smoke (zombied serves all seven ops; same-seed replays export identical metrics)"
-ZL_DIR=$(mktemp -d /tmp/zl-daemon.XXXXXX)
-ZOMBIED_PID=""
-trap '[ -n "${ZOMBIED_PID:-}" ] && kill "$ZOMBIED_PID" 2>/dev/null || true; \
-     rm -rf "$ZL_DIR"; \
-     rm -f "$ZL_TRACE" "$ZL_BENCH" "$ZL_J1" "$ZL_J2" "$ZL_SCEN" "$ZL_ENV" \
-     "$ZL_S1" "$ZL_S2" "$ZL_PAPER"' EXIT
+ZL_DIR="$ZL_WORK/daemon"
+mkdir "$ZL_DIR"
 ZL_EP="unix:$ZL_DIR/zombied.sock"
 ./target/release/zombied --listen "$ZL_EP" --servers 8 --seed 11 \
     > "$ZL_DIR/zombied.log" 2>&1 &
@@ -293,11 +284,8 @@ if [ -S "$ZL_DIR/zombied.sock" ]; then
 fi
 
 echo "==> profile smoke (--profile emits a phase table and a PROFILE json covering the run)"
-ZL_PROF=$(mktemp -d /tmp/zl-profile.XXXXXX)
-trap '[ -n "${ZOMBIED_PID:-}" ] && kill "$ZOMBIED_PID" 2>/dev/null || true; \
-     rm -rf "$ZL_DIR" "$ZL_PROF"; \
-     rm -f "$ZL_TRACE" "$ZL_BENCH" "$ZL_J1" "$ZL_J2" "$ZL_SCEN" "$ZL_ENV" \
-     "$ZL_S1" "$ZL_S2" "$ZL_PAPER"' EXIT
+ZL_PROF="$ZL_WORK/profile"
+mkdir "$ZL_PROF"
 ZL_ROOT=$PWD
 (cd "$ZL_PROF" && "$ZL_ROOT/target/release/zombieland-cli" \
     experiment fig8 --scale 0.02 --profile > run.txt)

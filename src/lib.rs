@@ -19,9 +19,9 @@
 //! - [`hypervisor`] — KVM-like hypervisor paging with RAM Extension and
 //!   Explicit Swap Device remote-memory modes.
 //! - [`workloads`] — the evaluation's micro- and macro-benchmark models.
-//! - [`cloud`] — ZombieStack: placement, consolidation, migration, plus the
+//! - [`simulator`] — datacenter-scale energy simulation, including
+//!   ZombieStack's placement, consolidation and migration rules plus the
 //!   Neat and Oasis baselines.
-//! - [`simulator`] — datacenter-scale energy simulation.
 //! - [`obs`] — deterministic observability: sim-time trace events, metric
 //!   registries, JSONL export.
 //!
@@ -29,7 +29,6 @@
 //! and the per-experiment index.
 
 pub use zombieland_acpi as acpi;
-pub use zombieland_cloud as cloud;
 pub use zombieland_core as core;
 pub use zombieland_energy as energy;
 pub use zombieland_hypervisor as hypervisor;

@@ -16,6 +16,10 @@
 //! ZL_DC_SERVERS=48 ZL_DC_DAYS=1 zombieland-cli experiment fig10 --jobs 2
 //! ZL_SCALE=0.04    zombieland-cli experiment table1 --jobs 2
 //! ```
+//!
+//! `golden/fig9.txt` pins [`experiments::figure9`] with each duration
+//! rendered as its exact bit pattern (the CLI table rounds to 0.1 s);
+//! [`render_figure9_bits`] below is the capture format.
 
 use zombieland_bench::experiments;
 
@@ -43,5 +47,30 @@ fn table1_bytes_match_prechange_golden() {
     assert_eq!(
         rendered, golden,
         "Table 1 report bytes drifted from the pre-optimization golden"
+    );
+}
+
+/// Fig. 9's series with floats as bit patterns, one WSS ratio a line.
+fn render_figure9_bits() -> String {
+    experiments::figure9()
+        .into_iter()
+        .map(|(pct, native, zombie)| {
+            format!(
+                "wss={pct}% native_s={:#018x} zombiestack_s={:#018x}\n",
+                native.to_bits(),
+                zombie.to_bits()
+            )
+        })
+        .collect()
+}
+
+/// The Fig. 9 migration model renders the exact pinned durations.
+#[test]
+fn figure9_bytes_match_golden() {
+    let golden = include_str!("golden/fig9.txt");
+    assert_eq!(
+        render_figure9_bits(),
+        golden,
+        "Fig. 9 migration durations drifted from the golden"
     );
 }
