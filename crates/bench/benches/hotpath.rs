@@ -1,11 +1,13 @@
-//! Micro-benchmarks of the three hot paths the incremental-accounting
-//! overhaul targets: the event queue, the paging fault path, and the
-//! datacenter placement path.
+//! Micro-benchmarks of the hot paths: the event queue, the paging fault
+//! path, the datacenter placement path, and the control plane's decision
+//! layer (the controller database and the slot map behind every grant).
 //!
 //! These pin the perf trajectory at a finer grain than the end-to-end
 //! `zombieland-cli bench` grids — a regression in `pick_host` or the
 //! fault list shows up here even when trace generation dominates the
-//! wall clock of a full figure.
+//! wall clock of a full figure. The controller benches run at 24, 400 and
+//! 12,583 hosts (the paper's fleet), so a decision whose cost grows with
+//! fleet size shows up as a spread between the three.
 //!
 //! Run: `cargo bench -p zombieland-bench --bench hotpath`.
 
@@ -13,10 +15,13 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
 use zombieland_bench::experiments;
+use zombieland_core::db::CtrlDb;
 use zombieland_core::manager::PoolKind;
-use zombieland_core::{Rack, RackConfig};
+use zombieland_core::{Rack, RackConfig, ServerId};
 use zombieland_energy::MachineProfile;
 use zombieland_hypervisor::engine::{self, Backing, EngineConfig};
+use zombieland_mem::buffer::{BufferId, SlotMap, BUFF_SIZE};
+use zombieland_rdma::Fabric;
 use zombieland_simcore::{Bytes, EventQueue, Pages, SimTime};
 use zombieland_simulator::{simulate, PolicyKind, SimConfig};
 use zombieland_workloads::DataCaching;
@@ -143,12 +148,67 @@ fn bench_placement_path(c: &mut Criterion) {
     });
 }
 
+/// Fleet sizes for the controller benches: the daemon's default rack
+/// neighbourhood, a mid-size pool and the paper's 12,583-server fleet.
+const CTRL_FLEETS: [u32; 3] = [24, 400, 12_583];
+
+/// A controller database shaped like a booted `zombied`: every third host
+/// is a zombie lending 16 buffers, every other host lends 4 actively.
+fn ctrl_db(hosts: u32) -> CtrlDb {
+    let mut fabric = Fabric::new();
+    let node = fabric.attach();
+    // The database never dereferences MR keys; one serves every row.
+    let mr = fabric.register(node, BUFF_SIZE).unwrap();
+    let mut db = CtrlDb::new();
+    for h in 0..hosts {
+        let host = ServerId::new(h);
+        db.register_host(host);
+        let (n, zombie) = if h % 3 == 1 { (16, true) } else { (4, false) };
+        db.lend(host, &vec![mr; n], zombie).unwrap();
+    }
+    db
+}
+
+/// One `GS_alloc_swap` decision of 4 buffers (256 MiB), released again so
+/// every iteration sees the same pool, and one `GS_get_lru_zombie`.
+fn bench_ctrl_db(c: &mut Criterion) {
+    for hosts in CTRL_FLEETS {
+        let mut db = ctrl_db(hosts);
+        let user = ServerId::new(0);
+        c.bench_function(&format!("ctrl_db_allocate_{hosts}_hosts"), |b| {
+            b.iter(|| {
+                let got = db.allocate(user, 4, false).unwrap();
+                let ids: Vec<BufferId> = got.iter().map(|r| r.id).collect();
+                db.release(user, &ids).unwrap();
+                black_box(ids)
+            })
+        });
+        c.bench_function(&format!("ctrl_db_lru_zombie_{hosts}_hosts"), |b| {
+            b.iter(|| black_box(db.get_lru_zombie()))
+        });
+    }
+}
+
+/// What a user's agent builds per granted buffer: its slot map, and the
+/// first page placed in it.
+fn bench_slotmap_grant(c: &mut Criterion) {
+    c.bench_function("slotmap_grant", |b| {
+        b.iter(|| {
+            let mut slots = SlotMap::new(black_box(BufferId::new(7)));
+            black_box(slots.take());
+            slots
+        })
+    });
+}
+
 criterion_group!(
     benches,
     bench_event_queue,
     bench_fault_path,
     bench_batched_fault_path,
     bench_incremental_consolidation,
-    bench_placement_path
+    bench_placement_path,
+    bench_ctrl_db,
+    bench_slotmap_grant
 );
 criterion_main!(benches);

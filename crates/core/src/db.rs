@@ -12,7 +12,7 @@
 //! just a replica that replays the calls.
 
 use core::fmt;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 use zombieland_mem::buffer::{BufferId, BUFF_SIZE};
 use zombieland_rdma::MrKey;
@@ -109,15 +109,40 @@ impl ReclaimPlan {
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 struct HostInfo {
     is_zombie: bool,
+    /// The host's buffers in the pool, in ascending id order: ids come
+    /// from a counter and are never reused, so appending keeps it sorted.
     lent: Vec<BufferId>,
+    /// The unallocated subset of `lent`.
+    free: BTreeSet<BufferId>,
+}
+
+impl HostInfo {
+    fn allocated(&self) -> u64 {
+        (self.lent.len() - self.free.len()) as u64
+    }
 }
 
 /// The controller database.
+///
+/// Next to the rows it keeps the indexes every decision reads, updated
+/// by each mutation, so that no call scans the fleet: the free-buffer
+/// count, each host's free ids, the hosts holding free memory per tier,
+/// the zombies ordered by allocated buffers, and each user's buffers.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct CtrlDb {
     buffers: BTreeMap<BufferId, BufferRecord>,
     hosts: BTreeMap<ServerId, HostInfo>,
     next_id: u64,
+    /// Rows without a user.
+    free: u64,
+    /// Zombie hosts with at least one free buffer.
+    free_zombie_hosts: BTreeSet<ServerId>,
+    /// Active hosts with at least one free buffer.
+    free_active_hosts: BTreeSet<ServerId>,
+    /// Every zombie host, keyed by `(allocated buffers, id)`.
+    zombies: BTreeSet<(u64, ServerId)>,
+    /// The buffers allocated to each user (no empty sets).
+    by_user: BTreeMap<ServerId, BTreeSet<BufferId>>,
 }
 
 impl CtrlDb {
@@ -135,6 +160,42 @@ impl CtrlDb {
         self.hosts.get_mut(&host).ok_or(DbError::UnknownHost(host))
     }
 
+    /// Takes a registered `host` out of the host indexes before its
+    /// state changes; [`Self::index_host`] files it again afterwards.
+    fn unindex_host(&mut self, host: ServerId) {
+        let info = &self.hosts[&host];
+        if info.is_zombie {
+            self.zombies.remove(&(info.allocated(), host));
+            self.free_zombie_hosts.remove(&host);
+        } else {
+            self.free_active_hosts.remove(&host);
+        }
+    }
+
+    fn index_host(&mut self, host: ServerId) {
+        let info = &self.hosts[&host];
+        if info.is_zombie {
+            self.zombies.insert((info.allocated(), host));
+        }
+        if !info.free.is_empty() {
+            if info.is_zombie {
+                self.free_zombie_hosts.insert(host);
+            } else {
+                self.free_active_hosts.insert(host);
+            }
+        }
+    }
+
+    /// Drops `id` from `user`'s allocated set.
+    fn unlink_user(&mut self, user: ServerId, id: BufferId) {
+        if let Some(ids) = self.by_user.get_mut(&user) {
+            ids.remove(&id);
+            if ids.is_empty() {
+                self.by_user.remove(&user);
+            }
+        }
+    }
+
     /// Records buffers lent by `host` (one `MrKey` per buffer) and — when
     /// `zombie` — marks the host as transitioning to Sz. This implements
     /// both `GS_goto_zombie(buffers)` and the active-server lending path
@@ -147,12 +208,13 @@ impl CtrlDb {
     ) -> Result<Vec<BufferId>, DbError> {
         // A host that is already a zombie cannot serve actively (its CPU
         // is off): any lend on its behalf is zombie-kind.
-        let zombie = zombie || self.host_mut(host)?.is_zombie;
+        let zombie = self.host_mut(host)?.is_zombie || zombie;
         let kind = if zombie {
             BufferKind::Zombie
         } else {
             BufferKind::Active
         };
+        self.unindex_host(host);
         let mut ids = Vec::with_capacity(mrs.len());
         for &mr in mrs {
             let id = BufferId::new(self.next_id);
@@ -170,26 +232,32 @@ impl CtrlDb {
             );
             ids.push(id);
         }
+        self.free += ids.len() as u64;
         let info = self.hosts.get_mut(&host).expect("checked above");
         info.lent.extend(&ids);
+        info.free.extend(&ids);
         if zombie {
             info.is_zombie = true;
             // Existing lent buffers become zombie-type.
-            for b in info.lent.clone() {
-                self.buffers.get_mut(&b).expect("lent list consistent").kind = BufferKind::Zombie;
+            for b in &info.lent {
+                self.buffers.get_mut(b).expect("lent list consistent").kind = BufferKind::Zombie;
             }
         }
+        self.index_host(host);
         Ok(ids)
     }
 
     /// Marks a host as awake again (its remaining lent buffers become
     /// active-type).
     pub fn mark_awake(&mut self, host: ServerId) -> Result<(), DbError> {
-        let info = self.host_mut(host)?;
+        self.host_mut(host)?;
+        self.unindex_host(host);
+        let info = self.hosts.get_mut(&host).expect("checked above");
         info.is_zombie = false;
-        for b in info.lent.clone() {
-            self.buffers.get_mut(&b).expect("lent list consistent").kind = BufferKind::Active;
+        for b in &info.lent {
+            self.buffers.get_mut(b).expect("lent list consistent").kind = BufferKind::Active;
         }
+        self.index_host(host);
         Ok(())
     }
 
@@ -200,12 +268,12 @@ impl CtrlDb {
 
     /// Number of hosts currently in the zombie state.
     pub fn zombie_count(&self) -> u64 {
-        self.hosts.values().filter(|h| h.is_zombie).count() as u64
+        self.zombies.len() as u64
     }
 
     /// Number of free (unallocated) buffers rack-wide.
     pub fn free_buffers(&self) -> u64 {
-        self.buffers.values().filter(|b| b.user.is_none()).count() as u64
+        self.free
     }
 
     /// Free remote memory rack-wide.
@@ -241,67 +309,72 @@ impl CtrlDb {
             });
         }
 
-        // Free buffers grouped per host, zombie hosts first; never from
-        // the user's own lent memory (that would be local, not remote).
-        let mut zombie_hosts: Vec<(ServerId, Vec<BufferId>)> = Vec::new();
-        let mut active_hosts: Vec<(ServerId, Vec<BufferId>)> = Vec::new();
-        for (&host, info) in &self.hosts {
-            if host == user {
-                continue;
-            }
-            let free: Vec<BufferId> = info
-                .lent
-                .iter()
-                .copied()
-                .filter(|b| self.buffers[b].user.is_none())
-                .collect();
-            if free.is_empty() {
-                continue;
-            }
-            if info.is_zombie {
-                zombie_hosts.push((host, free));
-            } else {
-                active_hosts.push((host, free));
-            }
-        }
-
-        let mut picked = Vec::with_capacity(nb as usize);
-        for group in [&mut zombie_hosts, &mut active_hosts] {
-            // Round-robin striping across the hosts of this tier.
-            let mut idx = 0usize;
-            while picked.len() < nb as usize && !group.is_empty() {
-                idx %= group.len();
-                let (_, free) = &mut group[idx];
-                if let Some(b) = free.pop() {
-                    picked.push(b);
-                    idx += 1;
-                } else {
-                    group.remove(idx);
-                }
-            }
-            if picked.len() == nb as usize {
-                break;
-            }
-        }
-
-        if guaranteed && picked.len() < nb as usize {
-            // Cannot happen given the availability check, but keep the
-            // invariant explicit.
+        let picked = self.stripe(user, nb);
+        if guaranteed && (picked.len() as u64) < nb {
+            // The user's own free buffers counted as available above but
+            // can never serve it.
             return Err(DbError::AdmissionDenied {
                 requested: nb,
                 available: picked.len() as u64,
             });
         }
 
-        let records = picked
-            .into_iter()
-            .map(|b| {
-                let rec = self.buffers.get_mut(&b).expect("picked from live set");
-                rec.user = Some(user);
-                *rec
-            })
-            .collect();
+        let mut records = Vec::with_capacity(picked.len());
+        for b in picked {
+            let rec = self.buffers.get_mut(&b).expect("picked from live set");
+            rec.user = Some(user);
+            let rec = *rec;
+            self.unindex_host(rec.host);
+            self.hosts
+                .get_mut(&rec.host)
+                .expect("rows name registered hosts")
+                .free
+                .remove(&b);
+            self.index_host(rec.host);
+            records.push(rec);
+        }
+        self.free -= records.len() as u64;
+        if !records.is_empty() {
+            self.by_user
+                .entry(user)
+                .or_default()
+                .extend(records.iter().map(|r| r.id));
+        }
         Ok(records)
+    }
+
+    /// The buffers an allocation of `nb` for `user` takes, in grant
+    /// order: the zombie tier, then the active one; within a tier a
+    /// round-robin over its hosts in id order (never the user's own),
+    /// each visit taking the host's last free buffer in lend order — its
+    /// largest free id. Round *k* thus takes each host's *k*-th largest
+    /// free id and a host drops out once empty, so before the call
+    /// completes or the tier runs out only the tier's first
+    /// `nb − picked` hosts are ever visited: the stripe runs over those.
+    fn stripe(&self, user: ServerId, nb: u64) -> Vec<BufferId> {
+        let nb = usize::try_from(nb).unwrap_or(usize::MAX);
+        let mut picked = Vec::with_capacity(nb.min(self.free as usize));
+        for tier in [&self.free_zombie_hosts, &self.free_active_hosts] {
+            let want = nb - picked.len();
+            if want == 0 {
+                break;
+            }
+            let mut hosts: Vec<_> = tier
+                .iter()
+                .filter(|&&h| h != user)
+                .take(want)
+                .map(|h| self.hosts[h].free.iter().rev())
+                .collect();
+            while picked.len() < nb && !hosts.is_empty() {
+                hosts.retain_mut(|free| {
+                    if picked.len() == nb {
+                        return true;
+                    }
+                    free.next().map(|&b| picked.push(b)).is_some()
+                });
+            }
+        }
+        picked
     }
 
     /// Releases buffers a user no longer needs.
@@ -314,71 +387,77 @@ impl CtrlDb {
             }
         }
         for id in ids {
-            self.buffers.get_mut(id).expect("validated").user = None;
+            let rec = self.buffers.get_mut(id).expect("validated");
+            // An id listed twice is freed once.
+            if rec.user.take().is_none() {
+                continue;
+            }
+            let host = rec.host;
+            self.unindex_host(host);
+            self.hosts
+                .get_mut(&host)
+                .expect("rows name registered hosts")
+                .free
+                .insert(*id);
+            self.index_host(host);
+            self.free += 1;
+            self.unlink_user(user, *id);
         }
         Ok(())
     }
 
     /// Plans a reclaim of `nb` of `host`'s buffers (`GS_reclaim`):
     /// unallocated buffers first, then allocated ones (which the caller
-    /// must revoke from their users via `US_reclaim`). The reclaimed
-    /// buffers leave the database.
+    /// must revoke from their users via `US_reclaim`), each in lend
+    /// order. The reclaimed buffers leave the database.
     pub fn reclaim(&mut self, host: ServerId, nb: u64) -> Result<ReclaimPlan, DbError> {
-        let info = self.host_mut(host)?;
-        let lent = info.lent.clone();
-        let mut plan = ReclaimPlan::default();
-        // Pass 1: free buffers.
-        for &b in &lent {
-            if plan.returned_free.len() as u64 == nb {
-                break;
-            }
-            if self.buffers[&b].user.is_none() {
-                plan.returned_free.push(b);
-            }
-        }
-        // Pass 2: allocated buffers.
-        for &b in &lent {
-            if (plan.returned_free.len() + plan.revoked.len()) as u64 == nb {
-                break;
-            }
-            if let Some(user) = self.buffers[&b].user {
-                plan.revoked.push((user, b));
-            }
+        let info = self.hosts.get(&host).ok_or(DbError::UnknownHost(host))?;
+        let nb = usize::try_from(nb).unwrap_or(usize::MAX);
+        let mut plan = ReclaimPlan {
+            returned_free: info.free.iter().take(nb).copied().collect(),
+            revoked: Vec::new(),
+        };
+        let more = nb - plan.returned_free.len();
+        if more > 0 {
+            plan.revoked = info
+                .lent
+                .iter()
+                .filter_map(|b| self.buffers[b].user.map(|u| (u, *b)))
+                .take(more)
+                .collect();
         }
         // Apply: remove reclaimed rows.
-        for b in plan.all_buffers().collect::<Vec<_>>() {
-            self.buffers.remove(&b);
-        }
+        self.unindex_host(host);
         let info = self.hosts.get_mut(&host).expect("checked above");
+        for b in &plan.returned_free {
+            info.free.remove(b);
+            self.buffers.remove(b);
+        }
+        for (_, b) in &plan.revoked {
+            self.buffers.remove(b);
+        }
         info.lent.retain(|b| self.buffers.contains_key(b));
+        self.free -= plan.returned_free.len() as u64;
+        self.index_host(host);
+        for &(user, b) in &plan.revoked {
+            self.unlink_user(user, b);
+        }
         Ok(plan)
     }
 
     /// `GS_get_lru_zombie()`: the zombie host with the fewest *allocated*
-    /// buffers — waking it reclaims the least shared memory.
+    /// buffers — waking it reclaims the least shared memory. Ties go to
+    /// the lowest id.
     pub fn get_lru_zombie(&self) -> Option<ServerId> {
-        self.hosts
-            .iter()
-            .filter(|(_, info)| info.is_zombie)
-            .map(|(&host, info)| {
-                let allocated = info
-                    .lent
-                    .iter()
-                    .filter(|b| self.buffers[b].user.is_some())
-                    .count();
-                (allocated, host)
-            })
-            .min()
-            .map(|(_, host)| host)
+        self.zombies.first().map(|&(_, host)| host)
     }
 
-    /// Buffers currently allocated to `user`.
+    /// Buffers currently allocated to `user`, in id order.
     pub fn buffers_of_user(&self, user: ServerId) -> Vec<BufferRecord> {
-        self.buffers
-            .values()
-            .filter(|b| b.user == Some(user))
-            .copied()
-            .collect()
+        self.by_user
+            .get(&user)
+            .map(|ids| ids.iter().map(|b| self.buffers[b]).collect())
+            .unwrap_or_default()
     }
 
     /// Buffers lent by `host` that are still in the pool.

@@ -15,7 +15,9 @@
 //!
 //! `stats` prints one raw exposition scrape. `top` re-scrapes on an
 //! interval and prints one *delta* row per frame — req/s, error rate and
-//! latency quantiles over the window, not since daemon start.
+//! latency quantiles over the window, not since daemon start: `p50_us`/
+//! `p99_us` are the modeled decision time, `svc_p50_us`/`svc_p99_us` the
+//! measured service time.
 //!
 //! Exit status: 0 for any well-formed server answer — *including* a typed
 //! error frame (the request was served; the answer happens to be "no").
@@ -145,29 +147,35 @@ fn top_row(elapsed: Duration, prev: &Snapshot, cur: &Snapshot) -> String {
     } else {
         100.0 * errs as f64 / ops as f64
     };
-    let (p50, p99) = match (cur.histograms.get("zombied_decision_ns"), {
-        prev.histograms.get("zombied_decision_ns")
-    }) {
-        (Some(now), Some(before)) => {
-            let d = now.since(before);
-            (d.quantile(0.5), d.quantile(0.99))
-        }
-        (Some(now), None) => (now.quantile(0.5), now.quantile(0.99)),
-        _ => (None, None),
+    // A histogram's p50/p99 over the window, in µs.
+    let window = |name: &str| {
+        let (p50, p99) = match (cur.histograms.get(name), prev.histograms.get(name)) {
+            (Some(now), Some(before)) => {
+                let d = now.since(before);
+                (d.quantile(0.5), d.quantile(0.99))
+            }
+            (Some(now), None) => (now.quantile(0.5), now.quantile(0.99)),
+            _ => (None, None),
+        };
+        let us = |q: Option<u64>| q.map_or("-".to_string(), |ns| format!("{:.1}", ns as f64 / 1e3));
+        (us(p50), us(p99))
     };
-    let us = |q: Option<u64>| q.map_or("-".to_string(), |ns| format!("{:.1}", ns as f64 / 1e3));
+    let (p50, p99) = window("zombied_decision_ns");
+    let (svc_p50, svc_p99) = window("zombied_service_ns");
     let gauge = |name: &str| {
         cur.gauges
             .get(name)
             .map_or("-".to_string(), |v| format!("{v:.0}"))
     };
     format!(
-        "{:>8.1} {:>9.0} {:>7.2} {:>9} {:>9} {:>8} {:>8}",
+        "{:>8.1} {:>9.0} {:>7.2} {:>9} {:>9} {:>10} {:>10} {:>8} {:>8}",
         secs,
         ops as f64 / secs,
         err_pct,
-        us(p50),
-        us(p99),
+        p50,
+        p99,
+        svc_p50,
+        svc_p99,
         gauge("zombied_pool_zombies"),
         gauge("zombied_pool_free_buffers"),
     )
@@ -181,8 +189,16 @@ fn run_top(client: &mut ZlClient, interval: Duration, frames: u64) -> Result<(),
         parse_exposition(&text).map_err(|e| format!("bad exposition: {e}"))
     };
     println!(
-        "{:>8} {:>9} {:>7} {:>9} {:>9} {:>8} {:>8}",
-        "window_s", "req/s", "err%", "p50_us", "p99_us", "zombies", "free"
+        "{:>8} {:>9} {:>7} {:>9} {:>9} {:>10} {:>10} {:>8} {:>8}",
+        "window_s",
+        "req/s",
+        "err%",
+        "p50_us",
+        "p99_us",
+        "svc_p50_us",
+        "svc_p99_us",
+        "zombies",
+        "free"
     );
     let mut prev = scrape(client)?;
     let mut last = Instant::now();

@@ -11,7 +11,10 @@
 //! in-flight request has been answered; the one-byte [`framing::STATS`]
 //! payload is answered with one frame of Prometheus-style exposition
 //! text (merged from the per-connection telemetry shards, with the
-//! model's live gauges overlaid).
+//! model's live gauges overlaid). Each request records two latencies:
+//! `zombied.decision_ns`, the op's modeled controller time, and
+//! `zombied.service_ns`, the measured wall-clock time from decode to
+//! encoded answer.
 //!
 //! All state lives in one [`ClusterModel`] behind a mutex: the controller
 //! is intentionally a single serialization point (the paper's GS is one
@@ -27,7 +30,7 @@ use std::sync::{Arc, Mutex};
 
 use zombieland_core::codec::{decode, encode_response, ErrorFrame, RackResponse, ResponseBody};
 use zombieland_core::protocol::RackOp;
-use zombieland_obs::telemetry::{self, Telemetry, TelemetryHandle};
+use zombieland_obs::telemetry::{self, Stopwatch, Telemetry, TelemetryHandle};
 use zombieland_simcore::SimDuration;
 
 use crate::framing::{read_frame, write_frame, SHUTDOWN, STATS};
@@ -245,6 +248,9 @@ fn serve_conn(
             writer.flush()?;
             continue;
         }
+        // Measured service time: decode, apply (including the wait for
+        // the model lock) and encode, on the host clock.
+        let watch = Stopwatch::start();
         let (op, response) = match decode(&payload) {
             Ok(op) => {
                 let response = model.lock().expect("model lock").apply(&op);
@@ -258,6 +264,8 @@ fn serve_conn(
                 },
             ),
         };
+        let encoded = encode_response(&response);
+        let service_ns = watch.elapsed_ns();
         // One shard lock for the whole request's worth of samples; the
         // model lock is already released.
         telemetry.with(|reg| {
@@ -270,8 +278,9 @@ fn serve_conn(
                 reg.counter_add(err_counter(e), 1);
             }
             reg.hist_record("zombied.decision_ns", response.decision.as_nanos());
+            reg.hist_record("zombied.service_ns", service_ns);
         });
-        write_frame(&mut writer, &encode_response(&response))?;
+        write_frame(&mut writer, &encoded)?;
         writer.flush()?;
     }
     Ok(())

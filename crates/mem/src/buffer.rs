@@ -70,11 +70,18 @@ pub fn buffers_within(size: Bytes) -> u64 {
 ///
 /// The user-server side (hypervisor paging, Explicit SD backend) uses this
 /// to place individual 4 KiB pages into the buffers the controller granted.
+///
+/// Slots are handed out lazily: released slots come back last-in
+/// first-out, and only when none is waiting does the next never-used slot
+/// (in ascending order) go out. A fresh map therefore costs a few words,
+/// not a list of all [`SLOTS_PER_BUFFER`] slots.
 #[derive(Debug, Clone)]
 pub struct SlotMap {
     buffer: BufferId,
-    free: Vec<u32>,
-    used: u64,
+    /// Slots `next_fresh..SLOTS_PER_BUFFER` have never been taken.
+    next_fresh: u32,
+    /// Released slots, reused LIFO before any fresh one.
+    released: Vec<u32>,
 }
 
 impl SlotMap {
@@ -82,8 +89,8 @@ impl SlotMap {
     pub fn new(buffer: BufferId) -> Self {
         SlotMap {
             buffer,
-            free: (0..SLOTS_PER_BUFFER as u32).rev().collect(),
-            used: 0,
+            next_fresh: 0,
+            released: Vec::new(),
         }
     }
 
@@ -94,8 +101,14 @@ impl SlotMap {
 
     /// Takes a free slot, or `None` when the buffer is full.
     pub fn take(&mut self) -> Option<RemoteSlot> {
-        let slot = self.free.pop()?;
-        self.used += 1;
+        let slot = match self.released.pop() {
+            Some(slot) => slot,
+            None if u64::from(self.next_fresh) < SLOTS_PER_BUFFER => {
+                self.next_fresh += 1;
+                self.next_fresh - 1
+            }
+            None => return None,
+        };
         Some(RemoteSlot {
             buffer: self.buffer,
             slot,
@@ -110,28 +123,28 @@ impl SlotMap {
     /// the caller's bookkeeping).
     pub fn release(&mut self, slot: RemoteSlot) {
         assert_eq!(slot.buffer, self.buffer, "slot returned to wrong buffer");
-        self.used -= 1;
-        self.free.push(slot.slot);
+        debug_assert!(self.used_slots() > 0, "slot released but none taken");
+        self.released.push(slot.slot);
     }
 
     /// Number of occupied slots.
     pub fn used_slots(&self) -> u64 {
-        self.used
+        u64::from(self.next_fresh) - self.released.len() as u64
     }
 
     /// Number of free slots.
     pub fn free_slots(&self) -> u64 {
-        self.free.len() as u64
+        SLOTS_PER_BUFFER - self.used_slots()
     }
 
     /// Occupied memory in this buffer.
     pub fn used_bytes(&self) -> Bytes {
-        Pages::new(self.used).bytes()
+        Pages::new(self.used_slots()).bytes()
     }
 
     /// Whether every slot is free.
     pub fn is_empty(&self) -> bool {
-        self.used == 0
+        self.used_slots() == 0
     }
 }
 

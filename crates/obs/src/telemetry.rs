@@ -26,6 +26,7 @@ use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
+use std::time::Instant;
 
 use crate::metrics::{Histogram, MetricRegistry, HIST_BUCKETS};
 
@@ -112,6 +113,24 @@ impl TelemetryHandle {
     /// The telemetry set this handle records into.
     pub fn telemetry(&self) -> &Arc<Telemetry> {
         &self.telemetry
+    }
+}
+
+/// A wall-clock stopwatch for *measured* service times, as opposed to
+/// the modeled sim-time durations a response carries. Serving code takes
+/// its timestamps here so the host clock stays inside this module.
+#[derive(Clone, Copy, Debug)]
+pub struct Stopwatch(Instant);
+
+impl Stopwatch {
+    /// Starts timing now.
+    pub fn start() -> Stopwatch {
+        Stopwatch(Instant::now())
+    }
+
+    /// Wall-clock nanoseconds since [`Stopwatch::start`] (saturating).
+    pub fn elapsed_ns(&self) -> u64 {
+        u64::try_from(self.0.elapsed().as_nanos()).unwrap_or(u64::MAX)
     }
 }
 

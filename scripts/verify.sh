@@ -254,6 +254,12 @@ if [ "$SUM1" -ne 4007 ]; then
     echo "verify: FAIL — scraped op counters sum to $SUM1, expected 4007" >&2
     exit 1
 fi
+# Every request also got one measured (wall-clock) service-time sample.
+SVC1=$(awk '$1 == "zombied_service_ns_count" { print $2 }' "$ZL_DIR/s1.txt")
+if [ "${SVC1:-0}" -ne 4007 ]; then
+    echo "verify: FAIL — zombied_service_ns_count is '${SVC1:-}', expected 4007" >&2
+    exit 1
+fi
 # Scraping again must be monotone and count the scrape itself.
 ./target/release/zlctl --connect "$ZL_EP" stats > "$ZL_DIR/s2.txt"
 SUM2=$(awk '/^zombied_op_/ { s += $2 } END { print s + 0 }' "$ZL_DIR/s2.txt")
@@ -282,6 +288,35 @@ if [ -S "$ZL_DIR/zombied.sock" ]; then
     echo "verify: FAIL — zombied left its socket file behind" >&2
     exit 1
 fi
+
+echo "==> fleet-scale daemon smoke (zombied boots 2,000 hosts; same-seed replays export identical metrics)"
+ZL_FLEET="$ZL_WORK/fleet"
+mkdir "$ZL_FLEET"
+ZL_FEP="unix:$ZL_FLEET/zombied.sock"
+./target/release/zombied --listen "$ZL_FEP" --servers 2000 --seed 11 \
+    > "$ZL_FLEET/zombied.log" 2>&1 &
+ZOMBIED_PID=$!
+for _ in $(seq 1 600); do
+    [ -S "$ZL_FLEET/zombied.sock" ] && break
+    sleep 0.1
+done
+if ! [ -S "$ZL_FLEET/zombied.sock" ]; then
+    echo "verify: FAIL — zombied --servers 2000 did not come up" >&2
+    cat "$ZL_FLEET/zombied.log" >&2
+    exit 1
+fi
+for run in 1 2; do
+    ./target/release/zombieland-cli --metrics-out "$ZL_FLEET/m$run.json" replay \
+        --connect "$ZL_FEP" --requests 5000 --clients 2 --seed 9 --servers 2000 \
+        --out "$ZL_FLEET/r$run.json" > /dev/null
+done
+if ! cmp "$ZL_FLEET/m1.json" "$ZL_FLEET/m2.json"; then
+    echo "verify: FAIL — same-seed fleet-scale replays diverged in exported metrics" >&2
+    exit 1
+fi
+./target/release/zlctl --connect "$ZL_FEP" shutdown > /dev/null
+wait "$ZOMBIED_PID"
+ZOMBIED_PID=""
 
 echo "==> profile smoke (--profile emits a phase table and a PROFILE json covering the run)"
 ZL_PROF="$ZL_WORK/profile"
